@@ -688,11 +688,6 @@ int main(int argc, char** argv) {
                  options.chaos_profile.c_str());
     return 2;
   }
-  if (chaos_profile.active() && !chaos::kCompiledIn && !options.quiet) {
-    std::printf(
-        "note: built with ROBOTUNE_CHAOS=OFF — --chaos-profile is a "
-        "no-op\n");
-  }
   chaos::injector().configure(chaos_profile, options.seed);
 
   // Install the graceful-shutdown handlers before any tuning starts.
@@ -708,11 +703,6 @@ int main(int argc, char** argv) {
   const bool observing =
       !options.trace_path.empty() || !options.metrics_path.empty();
   if (!options.trace_path.empty()) obs::tracer().set_enabled(true);
-  if (observing && !obs::kCompiledIn && !options.quiet) {
-    std::printf(
-        "note: built with ROBOTUNE_OBS=OFF — trace/metrics output will "
-        "be empty\n");
-  }
 
   std::string why;
   auto session = core::SessionFactory::create(spec, &why);

@@ -123,8 +123,6 @@ bool ChaosProfile::parse(const std::string& text, ChaosProfile& out) {
   return true;
 }
 
-#if ROBOTUNE_CHAOS_ENABLED
-
 void ChaosInjector::configure(const ChaosProfile& profile, std::uint64_t seed) {
   profile_ = profile;
   seed_ = seed;
@@ -186,8 +184,6 @@ std::uint64_t ChaosInjector::injections(Site site) const noexcept {
   return injected_[static_cast<std::size_t>(site)].load(
       std::memory_order_relaxed);
 }
-
-#endif  // ROBOTUNE_CHAOS_ENABLED
 
 ChaosInjector& injector() {
   static ChaosInjector instance;

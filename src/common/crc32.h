@@ -1,7 +1,7 @@
 // CRC-32 (IEEE 802.3, the zlib/PNG polynomial) over a byte string.
 //
-// Used by the v3 session journal to frame records: each record line
-// carries the CRC of its payload, so a torn write (truncated tail) or a
+// Used by common/frame.h to frame records: each record line carries
+// the CRC of its payload, so a torn write (truncated tail) or a
 // bit flip is detected at load time and `recover` mode can truncate to
 // the longest valid prefix instead of replaying corrupt state.
 #pragma once

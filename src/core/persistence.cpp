@@ -11,8 +11,8 @@
 #include <string_view>
 
 #include "common/chaos.h"
-#include "common/crc32.h"
 #include "common/error.h"
+#include "common/frame.h"
 
 namespace robotune::core {
 
@@ -237,46 +237,6 @@ void parse_session_record(RecordParser& p, bool v1,
   }
 }
 
-// Splits a v3 frame line into its payload.  Returns false (with `why`
-// set) on any framing violation: short line, bad hex, bad length, length
-// mismatch (torn write), or CRC mismatch (bit flip).
-bool unframe(const std::string& line, std::string_view& payload,
-             std::string& why) {
-  // "<crc:8 hex> <len> <payload>": at minimum 8 + 1 + 1 + 1 + 1 bytes.
-  if (line.size() < 12 || line[8] != ' ') {
-    why = "bad record frame";
-    return false;
-  }
-  std::uint32_t crc = 0;
-  {
-    const auto [ptr, ec] = std::from_chars(line.data(), line.data() + 8, crc,
-                                           /*base=*/16);
-    if (ec != std::errc() || ptr != line.data() + 8) {
-      why = "bad frame checksum field";
-      return false;
-    }
-  }
-  std::size_t len = 0;
-  const char* const len_begin = line.data() + 9;
-  const char* const line_end = line.data() + line.size();
-  const auto [len_end, ec] = std::from_chars(len_begin, line_end, len);
-  if (ec != std::errc() || len_end == len_begin || len_end >= line_end ||
-      *len_end != ' ') {
-    why = "bad frame length field";
-    return false;
-  }
-  payload = std::string_view(len_end + 1, line_end);
-  if (payload.size() != len) {
-    why = "frame length mismatch (torn record)";
-    return false;
-  }
-  if (crc32(payload) != crc) {
-    why = "frame checksum mismatch (corrupt record)";
-    return false;
-  }
-  return true;
-}
-
 bool fsync_file(const char* path) {
   const int fd = ::open(path, O_RDONLY);
   if (fd < 0) return false;
@@ -420,12 +380,9 @@ std::size_t save_session(const SessionCheckpoint& session,
                          std::ostream& out) {
   out << kSessionHeaderV3 << "\n";
   // Each record is built as a payload string first so its CRC and byte
-  // length can frame it: "<crc:8 hex> <len> <payload>\n".
+  // length can frame it (common/frame.h).
   const auto emit = [&out](const std::string& payload) {
-    char head[32];
-    std::snprintf(head, sizeof(head), "%08x %zu ", crc32(payload),
-                  payload.size());
-    out << head << payload << "\n";
+    write_frame(out, payload);
   };
   const auto payload = [](auto&& fill) {
     std::ostringstream p;
@@ -556,7 +513,7 @@ std::size_t load_session(std::istream& in, SessionCheckpoint& session,
     if (version == 3) {
       std::string_view record;
       std::string why;
-      bool ok = unframe(line, record, why);
+      bool ok = unframe_line(line, record, why);
       if (ok) {
         RecordParser parser(record, source, line_no);
         if (mode == LoadMode::kRecover) {

@@ -23,8 +23,8 @@
 //   robotune-session v3
 //   <crc32:8 lowercase hex> <len:decimal payload bytes> <payload>
 //
-// where the CRC covers exactly the payload bytes.  Payloads are the
-// familiar line records:
+// where the CRC covers exactly the payload bytes (common/frame.h).
+// Payloads are the familiar line records:
 //   meta <seed> <budget> <workload>
 //   seeding sequential|indexed
 //   selected <n> <idx...>

@@ -9,7 +9,8 @@
 #include <limits>
 #include <sstream>
 
-#include "common/crc32.h"
+#include "common/frame.h"
+#include "obs/metrics.h"
 #include "tuners/bestconfig.h"
 #include "tuners/gunther.h"
 #include "tuners/random_search.h"
@@ -81,6 +82,16 @@ bool parse_spec_double(const std::string& text, double& out) {
   if (!std::isfinite(value)) return false;
   out = value;
   return true;
+}
+
+// A failed checkpoint write leaves the previous checkpoint in place and
+// the session running; it surfaces as the logical counter
+// `journal.write_failures` instead of vanishing.
+void write_checkpoint(const SessionCheckpoint& state, const std::string& path,
+                      SyncPolicy sync) {
+  if (!save_session_file(state, path, sync)) {
+    obs::count("journal.write_failures");
+  }
 }
 
 }  // namespace
@@ -282,10 +293,8 @@ bool decode_spec_body(const std::string& body, SessionSpec& spec,
 }
 
 std::string encode_spec(const SessionSpec& spec) {
-  const std::string body = encode_spec_body(spec);
-  char head[32];
-  std::snprintf(head, sizeof(head), "%08x %zu ", crc32(body), body.size());
-  return std::string(kSpecHeader) + "\n" + head + body + "\n";
+  return std::string(kSpecHeader) + "\n" +
+         frame_message(encode_spec_body(spec));
 }
 
 bool decode_spec(const std::string& text, SessionSpec& spec,
@@ -300,32 +309,10 @@ bool decode_spec(const std::string& text, SessionSpec& spec,
     return fail("bad spec header");
   }
   if (!std::getline(in, line)) return fail("missing spec record");
-  // Frame: "<crc32:8 hex> <len> <payload>".
-  if (line.size() < 10 || line[8] != ' ') return fail("bad spec frame");
-  std::uint32_t crc = 0;
-  for (int i = 0; i < 8; ++i) {
-    const char c = line[static_cast<std::size_t>(i)];
-    std::uint32_t nibble = 0;
-    if (c >= '0' && c <= '9') {
-      nibble = static_cast<std::uint32_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      nibble = static_cast<std::uint32_t>(c - 'a' + 10);
-    } else {
-      return fail("bad spec frame checksum field");
-    }
-    crc = (crc << 4) | nibble;
-  }
-  const std::size_t len_end = line.find(' ', 9);
-  if (len_end == std::string::npos) return fail("bad spec frame length");
-  std::size_t len = 0;
-  for (std::size_t i = 9; i < len_end; ++i) {
-    if (line[i] < '0' || line[i] > '9') return fail("bad spec frame length");
-    len = len * 10 + static_cast<std::size_t>(line[i] - '0');
-  }
-  const std::string body = line.substr(len_end + 1);
-  if (body.size() != len) return fail("spec frame length mismatch (torn)");
-  if (crc32(body) != crc) return fail("spec checksum mismatch (corrupt)");
-  return decode_spec_body(body, spec, error);
+  std::string_view body;
+  std::string why;
+  if (!unframe_line(line, body, why)) return fail("spec: " + why);
+  return decode_spec_body(std::string(body), spec, error);
 }
 
 bool save_spec_file(const SessionSpec& spec, const std::string& path) {
@@ -474,7 +461,7 @@ SessionOutcome Session::run(
       const auto sync = spec_.sync;
       session.flush = [path, sync, progress,
                        &best_of](const SessionCheckpoint& state) {
-        save_session_file(state, path, sync);
+        write_checkpoint(state, path, sync);
         if (progress) progress(best_of(state));
       };
       session_ptr = &session;
@@ -506,7 +493,7 @@ SessionOutcome Session::run(
       }
       if (!canonical) {
         canonicalize_journal(session.state);
-        save_session_file(session.state, spec_.checkpoint_path, spec_.sync);
+        write_checkpoint(session.state, spec_.checkpoint_path, spec_.sync);
       }
     }
   } else {

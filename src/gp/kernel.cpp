@@ -67,7 +67,6 @@ void Matern52::accumulate_covariance_row(
   const std::size_t n = points.size();
   const std::size_t dims = x.size();
   std::size_t i = 0;
-#if ROBOTUNE_SIMD_ENABLED
   namespace simd = linalg::simd;
   // Four *independent* points per block: each lane runs the scalar
   // recurrence (ascending-dimension distance sum, then scalar libm
@@ -88,7 +87,6 @@ void Matern52::accumulate_covariance_row(
       out[i + lane] += matern52_from_z(z, signal_variance_);
     }
   }
-#endif
   for (; i < n; ++i) {
     const double z =
         kSqrt5Const * std::sqrt(squared_distance(points[i], x)) /
@@ -162,7 +160,6 @@ void Matern52Ard::accumulate_covariance_row(
   const std::size_t n = points.size();
   const std::size_t dims = scales_.size();
   std::size_t i = 0;
-#if ROBOTUNE_SIMD_ENABLED
   namespace simd = linalg::simd;
   for (; i + simd::kLanes <= n; i += simd::kLanes) {
     const double* p0 = points[i].data();
@@ -181,7 +178,6 @@ void Matern52Ard::accumulate_covariance_row(
       out[i + lane] += matern52_from_z(z, signal_variance_);
     }
   }
-#endif
   for (; i < n; ++i) {
     double ss = 0.0;
     for (std::size_t d = 0; d < dims; ++d) {

@@ -61,13 +61,11 @@ Matrix Matrix::operator*(const Matrix& rhs) const {
         if (aik == 0.0) continue;
         const double* rhs_row = rhs.data_.data() + k * rhs.stride_;
         std::size_t j = jb;
-#if ROBOTUNE_SIMD_ENABLED
         const simd::v4d va = simd::broadcast(aik);
         for (; j + simd::kLanes <= je; j += simd::kLanes) {
           simd::store(out_row + j,
                       simd::load(out_row + j) + va * simd::load(rhs_row + j));
         }
-#endif
         for (; j < je; ++j) {
           out_row[j] += aik * rhs_row[j];
         }
@@ -115,7 +113,6 @@ Matrix Matrix::multiply_transposed(const Matrix& rhs) const {
     const std::span<const double> a = row(i);
     const std::size_t j_end = gram ? i + 1 : rhs.rows_;
     std::size_t j = 0;
-#if ROBOTUNE_SIMD_ENABLED
     // Four output columns per sweep: each lane is an independent output
     // whose reduction over k stays in ascending scalar order, so the
     // result is bit-identical to the naive dot() loop (including the
@@ -131,7 +128,6 @@ Matrix Matrix::multiply_transposed(const Matrix& rhs) const {
       }
       simd::store(&out(i, j), acc);
     }
-#endif
     for (; j < j_end; ++j) out(i, j) = dot(a, rhs.row(j));
   }
   if (gram) {
@@ -247,8 +243,6 @@ Matrix solve_lower_rows(const Matrix& l, const Matrix& rhs_rows) {
   return out;
 }
 
-#if ROBOTUNE_SIMD_ENABLED
-
 namespace {
 
 // Solves four independent triangular systems at once.  The systems are
@@ -307,20 +301,16 @@ void solve_lower_transposed_panel4(
 
 }  // namespace
 
-#endif  // ROBOTUNE_SIMD_ENABLED
-
 void solve_lower_rows(const Matrix& l, const Matrix& rhs_rows, Matrix& out) {
   require(rhs_rows.cols() == l.rows(), "solve_lower_rows: dimension mismatch");
   out.resize(rhs_rows.rows(), rhs_rows.cols());
   std::size_t j = 0;
-#if ROBOTUNE_SIMD_ENABLED
   std::vector<double> panel;
   for (; j + simd::kLanes <= rhs_rows.rows(); j += simd::kLanes) {
     solve_lower_panel4(l, rhs_rows.row(j), rhs_rows.row(j + 1),
                        rhs_rows.row(j + 2), rhs_rows.row(j + 3), out.row(j),
                        out.row(j + 1), out.row(j + 2), out.row(j + 3), panel);
   }
-#endif
   for (; j < rhs_rows.rows(); ++j) {
     solve_lower(l, rhs_rows.row(j), out.row(j));
   }
@@ -331,7 +321,6 @@ Matrix solve_lower_transposed_rows(const Matrix& l, const Matrix& rhs_rows) {
           "solve_lower_transposed_rows: dimension mismatch");
   Matrix out(rhs_rows.rows(), rhs_rows.cols());
   std::size_t j = 0;
-#if ROBOTUNE_SIMD_ENABLED
   std::vector<double> panel;
   for (; j + simd::kLanes <= rhs_rows.rows(); j += simd::kLanes) {
     solve_lower_transposed_panel4(
@@ -339,7 +328,6 @@ Matrix solve_lower_transposed_rows(const Matrix& l, const Matrix& rhs_rows) {
         rhs_rows.row(j + 3), out.row(j), out.row(j + 1), out.row(j + 2),
         out.row(j + 3), panel);
   }
-#endif
   for (; j < rhs_rows.rows(); ++j) {
     solve_lower_transposed(l, rhs_rows.row(j), out.row(j));
   }

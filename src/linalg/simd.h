@@ -12,28 +12,15 @@
 // bit-identical to the scalar reference at every problem size.  What is
 // forbidden: vectorizing *within* a dot product or distance sum, which
 // would reassociate the reduction.
-//
-// Define ROBOTUNE_NO_SIMD to force the scalar fallbacks everywhere (the
-// bit-identity tests compare the two paths).
 #pragma once
 
 #include <cstddef>
 #include <cstring>
 
-#if defined(__GNUC__) && !defined(ROBOTUNE_NO_SIMD)
-#define ROBOTUNE_SIMD_ENABLED 1
-#else
-#define ROBOTUNE_SIMD_ENABLED 0
-#endif
-
 namespace robotune::linalg::simd {
 
 /// Lanes per vector; callers peel scalar tails of size() % kLanes.
 inline constexpr std::size_t kLanes = 4;
-
-#if ROBOTUNE_SIMD_ENABLED
-
-inline constexpr bool kEnabled = true;
 
 /// Four doubles.  Alignment is pinned to alignof(double) so loads and
 /// stores through arbitrary double* positions are well-defined.
@@ -54,11 +41,5 @@ inline v4d gather(const double* p0, const double* p1, const double* p2,
                   const double* p3, std::size_t i) noexcept {
   return v4d{p0[i], p1[i], p2[i], p3[i]};
 }
-
-#else  // ROBOTUNE_SIMD_ENABLED
-
-inline constexpr bool kEnabled = false;
-
-#endif  // ROBOTUNE_SIMD_ENABLED
 
 }  // namespace robotune::linalg::simd

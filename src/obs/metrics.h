@@ -25,11 +25,6 @@
 // were sharded across threads; histograms deliberately carry no
 // floating-point sum (cross-shard FP addition order would make the
 // last bits scheduling-dependent).
-//
-// Compile-out: building with -DROBOTUNE_OBS=OFF (ROBOTUNE_OBS_ENABLED=0)
-// turns every class in this header into an empty inline stub — call
-// sites compile unchanged and the instrumentation provably cannot affect
-// tuning results because it no longer exists.
 #pragma once
 
 #include <cstdint>
@@ -40,14 +35,7 @@
 #include <string_view>
 #include <vector>
 
-#ifndef ROBOTUNE_OBS_ENABLED
-#define ROBOTUNE_OBS_ENABLED 1
-#endif
-
 namespace robotune::obs {
-
-/// True when the library was built with instrumentation compiled in.
-inline constexpr bool kCompiledIn = ROBOTUNE_OBS_ENABLED != 0;
 
 /// Metrics named under this prefix are scheduling-dependent (worker
 /// counts, pool task placement) and excluded from the deterministic
@@ -110,8 +98,6 @@ struct MetricsSnapshot {
 /// roughly exponential, with knots at the paper's 480 s cap.
 const std::vector<double>& seconds_buckets();
 
-#if ROBOTUNE_OBS_ENABLED
-
 class MetricsRegistry {
  public:
   MetricsRegistry();
@@ -172,29 +158,6 @@ class ScopedSession {
  private:
   std::uint64_t prev_;
 };
-
-#else  // ROBOTUNE_OBS_ENABLED
-
-/// Compiled-out stub: every operation is an inline no-op and a snapshot
-/// is always empty.
-class MetricsRegistry {
- public:
-  void add(std::string_view, std::uint64_t = 1) {}
-  void set_gauge(std::string_view, double) {}
-  void observe(std::string_view, double) {}
-  void observe(std::string_view, double, const std::vector<double>&) {}
-  MetricsSnapshot snapshot() const { return {}; }
-  void reset() {}
-};
-
-/// Compiled-out stub: no thread-local state, no per-session tallies.
-class ScopedSession {
- public:
-  explicit ScopedSession(std::uint64_t) noexcept {}
-  static std::uint64_t current() noexcept { return 0; }
-};
-
-#endif  // ROBOTUNE_OBS_ENABLED
 
 /// Process-wide registry all instrumentation hooks write to.
 MetricsRegistry& metrics();

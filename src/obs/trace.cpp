@@ -150,8 +150,6 @@ bool write_spans_file(const std::vector<SpanRecord>& spans,
       path, [&](std::ostream& out) { write_spans(spans, out, format); });
 }
 
-#if ROBOTUNE_OBS_ENABLED
-
 struct Tracer::Buffer {
   std::uint32_t tid = 0;
   std::uint32_t depth = 0;  ///< currently open spans on this thread
@@ -283,19 +281,6 @@ void Span::arg(std::string_view key, double value) {
   std::snprintf(buf, sizeof(buf), "%.6g", value);
   arg(key, std::string_view(buf));
 }
-
-#else  // ROBOTUNE_OBS_ENABLED
-
-void Tracer::write(std::ostream& out, TraceFormat format) const {
-  if (format == TraceFormat::kChrome) out << "{\"traceEvents\":[]}\n";
-}
-
-bool Tracer::write_file(const std::string& path, TraceFormat format) const {
-  return atomic_write(
-      path, [&](std::ostream& out) { write(out, format); });
-}
-
-#endif  // ROBOTUNE_OBS_ENABLED
 
 Tracer& tracer() {
   static Tracer instance;

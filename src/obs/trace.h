@@ -15,9 +15,9 @@
 //    metadata, loadable in Perfetto / chrome://tracing.
 //
 // The tracer is disabled by default (one relaxed atomic load per span
-// construction); when ROBOTUNE_OBS=OFF it compiles out entirely.  Span
-// timestamps are wall-clock and therefore non-deterministic by nature —
-// the determinism contract lives in the metrics registry, never here.
+// construction).  Span timestamps are wall-clock and therefore
+// non-deterministic by nature — the determinism contract lives in the
+// metrics registry, never here.
 // Like the metrics shards, records()/reset() require quiescence ordered
 // after the workers' writes.
 #pragma once
@@ -32,10 +32,6 @@
 #include <string_view>
 #include <utility>
 #include <vector>
-
-#ifndef ROBOTUNE_OBS_ENABLED
-#define ROBOTUNE_OBS_ENABLED 1
-#endif
 
 namespace robotune::obs {
 
@@ -69,8 +65,6 @@ void write_spans(const std::vector<SpanRecord>& spans, std::ostream& out,
 /// path is unwritable, leaving no partial file behind.
 bool write_spans_file(const std::vector<SpanRecord>& spans,
                       const std::string& path, TraceFormat format);
-
-#if ROBOTUNE_OBS_ENABLED
 
 class Tracer {
  public:
@@ -150,30 +144,5 @@ class Span {
   Tracer::Buffer* buffer_ = nullptr;
   SpanRecord record_;
 };
-
-#else  // ROBOTUNE_OBS_ENABLED
-
-/// Compiled-out stubs: spans vanish, exports produce valid empty output.
-class Tracer {
- public:
-  void set_enabled(bool) {}
-  bool enabled() const { return false; }
-  std::vector<SpanRecord> records() const { return {}; }
-  void reset() {}
-  void write(std::ostream& out, TraceFormat format) const;
-  bool write_file(const std::string& path, TraceFormat format) const;
-};
-
-Tracer& tracer();
-
-class Span {
- public:
-  explicit Span(std::string_view, std::string_view = "") {}
-  Span(std::string_view, std::string_view, Tracer&) {}
-  template <typename V>
-  void arg(std::string_view, V&&) {}
-};
-
-#endif  // ROBOTUNE_OBS_ENABLED
 
 }  // namespace robotune::obs

@@ -294,7 +294,7 @@ bool EventJournal::load_file(const std::string& path,
     if (!ok) why = "torn record (no trailing newline)";
     FleetEvent event;
     if (ok) {
-      std::string payload;
+      std::string_view payload;
       const std::string_view line(content.data() + cursor, eol - cursor);
       ok = unframe_line(line, payload, why) &&
            parse_event(payload, event, why);

@@ -9,14 +9,15 @@
 //   <crc32:8 hex> <len> {"seq":1,"sid":3,"ts_ms":...,"kind":"admission.accept","detail":""}
 //
 // The framing is the wire protocol's / journal v3's `<crc32> <len>
-// <payload>` line frame, so the loader mirrors journal v3 semantics:
-// LoadMode::kStrict throws InvalidArgument at the first torn or corrupt
-// record (with file:line), LoadMode::kRecover truncates to the longest
-// valid prefix and reports how many trailing lines were dropped — the
-// kill -9 case.  Reopening an existing journal recover-loads it first,
-// truncates any torn tail *on disk*, and continues the sequence from
-// the last durable record, so a crashed daemon's event history stays a
-// single monotonic stream across restarts.
+// <payload>` line frame (common/frame.h), so the loader mirrors journal
+// v3 semantics: LoadMode::kStrict throws InvalidArgument at the first
+// torn or corrupt record (with file:line), LoadMode::kRecover truncates
+// to the longest valid prefix and reports how many trailing lines were
+// dropped — the kill -9 case.  Reopening an existing journal
+// recover-loads it first, truncates any torn tail *on disk*, and
+// continues the sequence from the last durable record, so a crashed
+// daemon's event history stays a single monotonic stream across
+// restarts.
 //
 // Rotation is size-based: when the current file exceeds `max_bytes`
 // after an append it is renamed to `<path>.1` (shifting older rotations
@@ -49,8 +50,8 @@
 // stripped — the projection the byte-identity contract is stated over.
 //
 // The journal is a durability/ops artifact like the session journals:
-// it is *not* gated by ROBOTUNE_OBS (an OBS=OFF daemon still records
-// its fleet history), only by ServiceOptions::events_path being set.
+// it is written whenever ServiceOptions::events_path is set, whether
+// or not the tracer is enabled.
 #pragma once
 
 #include <cstdint>

@@ -5,8 +5,6 @@
 #include <sstream>
 #include <utility>
 
-#include "common/crc32.h"
-
 namespace robotune::service {
 
 namespace {
@@ -106,64 +104,6 @@ bool unescape(std::string_view value, std::string& out) {
   return true;
 }
 
-std::string frame_message(std::string_view payload) {
-  char head[32];
-  std::snprintf(head, sizeof(head), "%08x %zu ", crc32(payload),
-                payload.size());
-  std::string out(head);
-  out.append(payload);
-  out.push_back('\n');
-  return out;
-}
-
-bool unframe_line(std::string_view line, std::string& payload,
-                  std::string& error) {
-  if (line.size() < 10 || line[8] != ' ') {
-    error = "bad message frame";
-    return false;
-  }
-  std::uint32_t crc = 0;
-  for (int i = 0; i < 8; ++i) {
-    const char c = line[static_cast<std::size_t>(i)];
-    // The frame header is always lowercase hex.
-    const int nibble = (c >= 'A' && c <= 'F') ? -1 : hex_value(c);
-    if (nibble < 0) {
-      error = "bad frame checksum field";
-      return false;
-    }
-    crc = (crc << 4) | static_cast<std::uint32_t>(nibble);
-  }
-  std::size_t len = 0;
-  std::size_t pos = 9;
-  if (pos >= line.size() || line[pos] < '0' || line[pos] > '9') {
-    error = "bad frame length field";
-    return false;
-  }
-  while (pos < line.size() && line[pos] >= '0' && line[pos] <= '9') {
-    len = len * 10 + static_cast<std::size_t>(line[pos] - '0');
-    if (len > kMaxFrameBytes) {
-      error = "frame too large";
-      return false;
-    }
-    ++pos;
-  }
-  if (pos >= line.size() || line[pos] != ' ') {
-    error = "bad frame length field";
-    return false;
-  }
-  const std::string_view body = line.substr(pos + 1);
-  if (body.size() != len) {
-    error = "frame length mismatch (torn message)";
-    return false;
-  }
-  if (crc32(body) != crc) {
-    error = "frame checksum mismatch (corrupt message)";
-    return false;
-  }
-  payload.assign(body);
-  return true;
-}
-
 FrameReader::Result FrameReader::next(std::string& payload,
                                       std::string& error) {
   if (corrupt_) {
@@ -179,9 +119,12 @@ FrameReader::Result FrameReader::next(std::string& payload,
     }
     return Result::kNeedMore;
   }
-  const std::string line = buffer_.substr(0, newline);
+  std::string_view body;
+  const bool ok = unframe_line(std::string_view(buffer_).substr(0, newline),
+                               body, error, kMaxFrameBytes);
+  if (ok) payload.assign(body);
   buffer_.erase(0, newline + 1);
-  if (!unframe_line(line, payload, error)) {
+  if (!ok) {
     corrupt_ = true;
     return Result::kCorrupt;
   }

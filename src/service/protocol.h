@@ -1,10 +1,8 @@
 // Wire protocol of the tuning service (DESIGN.md §13).
 //
-// Every message — request or response — is one framed line, reusing the
-// v3 journal's CRC32 framing so a torn or corrupted socket stream is
-// detected instead of half-parsed:
-//
-//   <crc32:8 lowercase hex> <len:decimal payload bytes> <payload>\n
+// Every message — request or response — is one line in the v3 journal's
+// CRC32 frame (common/frame.h), so a torn or corrupted socket stream is
+// detected instead of half-parsed.  Frames above 1 MiB are rejected.
 //
 // Payloads are space-separated `key=value` tokens with a leading type
 // token; values are percent-escaped (space, '%', '\n', '\t', '='), so
@@ -29,6 +27,8 @@
 #include <string_view>
 #include <vector>
 
+#include "common/frame.h"
+
 namespace robotune::service {
 
 /// Percent-escapes a value for the token format ('%', space, '=', CR,
@@ -36,9 +36,6 @@ namespace robotune::service {
 std::string escape(std::string_view value);
 /// Reverses escape().  Returns false on a malformed escape sequence.
 bool unescape(std::string_view value, std::string& out);
-
-/// Wraps a payload in the CRC frame (with trailing newline).
-std::string frame_message(std::string_view payload);
 
 /// Incremental frame parser for a byte stream (socket reads arrive in
 /// arbitrary chunks).  Feed bytes, then drain complete payloads.
@@ -63,10 +60,6 @@ class FrameReader {
   std::string buffer_;
   bool corrupt_ = false;
 };
-
-/// Parses one frame line (no trailing newline) into its payload.
-bool unframe_line(std::string_view line, std::string& payload,
-                  std::string& error);
 
 struct Request {
   std::string verb;          ///< start|suggest|observe|checkpoint|cancel|

@@ -17,11 +17,6 @@
 //
 // Unknown verbs are counted under service.rpc.unknown — a garbage
 // stream must not grow the registry without bound.
-//
-// With ROBOTUNE_OBS=OFF every recorder below no-ops through the metric
-// stubs and the `metrics` verb still answers (session states and
-// progress come from the SessionManager, which is not obs-gated); only
-// the counter/histogram content is empty.
 #pragma once
 
 #include <cstdint>

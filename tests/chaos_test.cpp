@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -12,7 +13,9 @@
 #include "common/error.h"
 #include "common/thread_pool.h"
 #include "core/persistence.h"
+#include "core/session.h"
 #include "linalg/matrix.h"
+#include "obs/metrics.h"
 
 namespace robotune {
 namespace {
@@ -74,7 +77,6 @@ TEST_F(ChaosTest, UnconfiguredInjectorNeverFires) {
 }
 
 TEST_F(ChaosTest, SameSeedReplaysTheSameDecisionSequence) {
-  if (!chaos::kCompiledIn) GTEST_SKIP() << "built with ROBOTUNE_CHAOS=OFF";
   chaos::ChaosProfile p;
   p.cholesky_failure = 0.5;
   const auto draw_sequence = [&](std::uint64_t seed) {
@@ -98,7 +100,6 @@ TEST_F(ChaosTest, SameSeedReplaysTheSameDecisionSequence) {
 }
 
 TEST_F(ChaosTest, IndexedDecisionsArePureFunctionsOfTheIndex) {
-  if (!chaos::kCompiledIn) GTEST_SKIP() << "built with ROBOTUNE_CHAOS=OFF";
   chaos::ChaosProfile p;
   p.pool_task_failure = 0.5;
   chaos::injector().configure(p, 99);
@@ -115,7 +116,6 @@ TEST_F(ChaosTest, IndexedDecisionsArePureFunctionsOfTheIndex) {
 }
 
 TEST_F(ChaosTest, RateEndpointsAreExact) {
-  if (!chaos::kCompiledIn) GTEST_SKIP() << "built with ROBOTUNE_CHAOS=OFF";
   chaos::ChaosProfile p;
   p.cholesky_failure = 1.0;
   chaos::injector().configure(p, 1);
@@ -131,7 +131,6 @@ TEST_F(ChaosTest, RateEndpointsAreExact) {
 }
 
 TEST_F(ChaosTest, CholeskyHookThrowsTheRealRecoveryException) {
-  if (!chaos::kCompiledIn) GTEST_SKIP() << "built with ROBOTUNE_CHAOS=OFF";
   linalg::Matrix identity(2, 2);
   identity(0, 0) = identity(1, 1) = 1.0;
   chaos::ChaosProfile p;
@@ -144,7 +143,6 @@ TEST_F(ChaosTest, CholeskyHookThrowsTheRealRecoveryException) {
 }
 
 TEST_F(ChaosTest, JournalWriteHookFailsWithoutTouchingTheFile) {
-  if (!chaos::kCompiledIn) GTEST_SKIP() << "built with ROBOTUNE_CHAOS=OFF";
   const std::string path = "/tmp/robotune_chaos_journal_test.ckpt";
   std::remove(path.c_str());
   core::SessionCheckpoint session;
@@ -165,8 +163,41 @@ TEST_F(ChaosTest, JournalWriteHookFailsWithoutTouchingTheFile) {
   std::remove(path.c_str());
 }
 
+// Every failed checkpoint write of a live session is counted, not
+// swallowed, and the session still completes its budget.
+TEST_F(ChaosTest, FailedJournalFlushesAreCounted) {
+  const std::string path = "/tmp/robotune_chaos_flush_test.ckpt";
+  std::remove(path.c_str());
+  core::SessionSpec spec;
+  spec.workload = "PR";
+  spec.dataset = 1;
+  spec.budget = 10;
+  spec.seed = 5;
+  spec.init = 4;
+  spec.selection_samples = 20;
+  spec.checkpoint_path = path;
+  std::string error;
+  auto session = core::SessionFactory::create(spec, &error);
+  ASSERT_NE(session, nullptr) << error;
+
+  obs::metrics().reset();
+  chaos::ChaosProfile p;
+  ASSERT_TRUE(chaos::ChaosProfile::parse("journal=1.0", p));
+  chaos::injector().configure(p, 7);
+  const auto outcome = session->run();
+  ASSERT_TRUE(outcome.ok()) << outcome.error;
+  EXPECT_EQ(outcome.result.history.size(), 10u);
+
+  // A q=1 session flushes once for its metadata and once per evaluation.
+  const std::uint64_t flushes = 1 + 10;
+  EXPECT_EQ(chaos::injector().injections(chaos::Site::kJournalWrite),
+            flushes);
+  EXPECT_EQ(obs::metrics().snapshot().counters.at("journal.write_failures"),
+            flushes);
+  EXPECT_FALSE(std::ifstream(path).good());
+}
+
 TEST_F(ChaosTest, PoolTaskFailurePropagatesIdenticallyAtAnyWorkerCount) {
-  if (!chaos::kCompiledIn) GTEST_SKIP() << "built with ROBOTUNE_CHAOS=OFF";
   chaos::ChaosProfile p;
   p.pool_task_failure = 0.3;
   constexpr std::size_t kTasks = 32;

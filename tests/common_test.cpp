@@ -1,12 +1,17 @@
-// Unit tests for src/common: RNG, statistics, thread pool, error helpers.
+// Unit tests for src/common: RNG, statistics, thread pool, error helpers,
+// CRC line framing.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
+#include "common/frame.h"
 #include "common/rng.h"
 #include "common/statistics.h"
 #include "common/thread_pool.h"
@@ -425,6 +430,69 @@ TEST(ThreadPoolTest, ConfigureGlobalIsFirstUseOnly) {
 TEST(ErrorTest, RequireThrowsOnViolation) {
   EXPECT_THROW(require(false, "nope"), InvalidArgument);
   EXPECT_NO_THROW(require(true, "fine"));
+}
+
+// -------------------------------------------------------------- frame ----
+
+TEST(FrameTest, EncodersWriteTheSameBytes) {
+  // crc32("hello") == 0x3610a686: the journal and wire bytes are pinned.
+  EXPECT_EQ(frame_message("hello"), "3610a686 5 hello\n");
+  std::ostringstream out;
+  write_frame(out, "hello");
+  EXPECT_EQ(out.str(), frame_message("hello"));
+  EXPECT_EQ(frame_message(""), "00000000 0 \n");
+}
+
+TEST(FrameTest, DecoderAcceptsOnlyWellFormedFrames) {
+  constexpr std::size_t kAny = std::numeric_limits<std::size_t>::max();
+  struct Case {
+    const char* name;
+    std::string line;
+    std::size_t max_payload;
+    const char* error;  ///< nullptr = accepted
+    std::string payload;
+  };
+  const std::string hello = "3610a686 5 hello";
+  const std::vector<Case> cases = {
+      {"round trip", hello, kAny, nullptr, "hello"},
+      {"round trip at the cap", hello, 5, nullptr, "hello"},
+      {"empty payload", "00000000 0 ", kAny, nullptr, ""},
+      {"payload with spaces", "5bf63f70 6 a b  c", kAny, nullptr, "a b  c"},
+      {"short line", "3610a686 5", kAny, "bad frame", ""},
+      {"empty line", "", kAny, "bad frame", ""},
+      {"no separator", "3610a6865 hello", kAny, "bad frame", ""},
+      {"uppercase hex", "3610A686 5 hello", kAny, "bad frame checksum field",
+       ""},
+      {"non-hex checksum", "3610g686 5 hello", kAny,
+       "bad frame checksum field", ""},
+      {"non-digit length", "3610a686 x hello", kAny, "bad frame length field",
+       ""},
+      {"signed length", "3610a686 +5 hello", kAny, "bad frame length field",
+       ""},
+      {"length runs into payload", "3610a686 5hello", kAny,
+       "bad frame length field", ""},
+      {"length without payload", "3610a686 12345", kAny,
+       "bad frame length field", ""},
+      {"torn payload", "3610a686 5 hel", kAny, "frame length mismatch (torn)",
+       ""},
+      {"bit flip", "3610a686 5 hellp", kAny,
+       "frame checksum mismatch (corrupt)", ""},
+      {"oversize", hello, 4, "frame too large", ""},
+      {"length overflows size_t", "3610a686 99999999999999999999999 hello",
+       kAny, "frame too large", ""},
+  };
+  for (const auto& c : cases) {
+    std::string_view payload;
+    std::string error;
+    const bool ok = unframe_line(c.line, payload, error, c.max_payload);
+    if (c.error == nullptr) {
+      EXPECT_TRUE(ok) << c.name << ": " << error;
+      EXPECT_EQ(payload, c.payload) << c.name;
+    } else {
+      EXPECT_FALSE(ok) << c.name;
+      EXPECT_EQ(error, c.error) << c.name;
+    }
+  }
 }
 
 }  // namespace

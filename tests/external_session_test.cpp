@@ -437,9 +437,6 @@ TEST(ExternalSessionTest, RestartRestoresPendingSetExactlyOnce) {
 // ---- chaos: dropped and duplicated deliveries ----------------------------
 
 TEST(ExternalSessionTest, ChaosDroppedAndDuplicatedObservesStillComplete) {
-  if (!chaos::kCompiledIn) {
-    GTEST_SKIP() << "built with ROBOTUNE_CHAOS=OFF";
-  }
   TempDir dir("chaos");
   service::ServiceOptions options;
   options.root = dir.path();

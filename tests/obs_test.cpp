@@ -1,8 +1,6 @@
 // Unit tests for src/obs: the metrics registry (lock-free shards,
 // canonical-order merge, logical/runtime split), the span tracer and its
 // JSONL / Chrome exporters, and the end-of-session summary rendering.
-// Tests of live instrumentation are gated on ROBOTUNE_OBS_ENABLED; the
-// pure-data and stub-behavior tests run in both build modes.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -18,7 +16,7 @@
 namespace robotune::obs {
 namespace {
 
-// ------------------------------------------------- pure data (any mode) ----
+// ------------------------------------------------------------ pure data ----
 
 TEST(ObsMetricsTest, RuntimePrefixSplitsSnapshots) {
   EXPECT_TRUE(is_runtime_metric("runtime.pool.tasks_executed"));
@@ -116,9 +114,7 @@ TEST(ObsSummaryTest, MetricsFileFailurePathLeavesNothing) {
   std::remove(good.c_str());
 }
 
-#if ROBOTUNE_OBS_ENABLED
-
-// ------------------------------------------------ registry (compiled in) ----
+// ------------------------------------------------------------- registry ----
 
 TEST(ObsMetricsTest, CountersGaugesHistogramsAccumulate) {
   MetricsRegistry registry;
@@ -171,7 +167,7 @@ TEST(ObsMetricsTest, ResetClearsEverything) {
   EXPECT_TRUE(registry.snapshot().empty());
 }
 
-// -------------------------------------------------- tracer (compiled in) ----
+// --------------------------------------------------------------- tracer ----
 
 TEST(ObsTraceTest, DisabledTracerRecordsNothing) {
   Tracer tracer;
@@ -270,32 +266,6 @@ TEST(ObsTraceTest, ResetDropsRecordsAndRestartsEpoch) {
   { Span span("second", "t", tracer); }
   EXPECT_EQ(tracer.records().size(), 1u);
 }
-
-#else  // ROBOTUNE_OBS_ENABLED
-
-// ------------------------------------------------------- stubs (OBS=OFF) ----
-
-TEST(ObsStubTest, RegistrySnapshotAlwaysEmpty) {
-  metrics().add("evals.total");
-  metrics().set_gauge("g", 1.0);
-  metrics().observe("h", 2.0);
-  EXPECT_TRUE(metrics().snapshot().empty());
-}
-
-TEST(ObsStubTest, TracerProducesValidEmptyOutput) {
-  tracer().set_enabled(true);  // no-op
-  EXPECT_FALSE(tracer().enabled());
-  { Span span("phase", "core"); }
-  EXPECT_TRUE(tracer().records().empty());
-  std::stringstream chrome;
-  tracer().write(chrome, TraceFormat::kChrome);
-  EXPECT_NE(chrome.str().find("\"traceEvents\""), std::string::npos);
-  std::stringstream jsonl;
-  tracer().write(jsonl, TraceFormat::kJsonl);
-  EXPECT_TRUE(jsonl.str().empty());
-}
-
-#endif  // ROBOTUNE_OBS_ENABLED
 
 TEST(ObsTraceTest, WriteFileFailurePathLeavesNothing) {
   const std::string bad = "/nonexistent/dir/trace.json";

@@ -7,7 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "common/crc32.h"
+#include "common/frame.h"
 #include "common/error.h"
 #include "core/persistence.h"
 
@@ -149,14 +149,6 @@ TEST(PersistenceTest, MemoCapacityStillEnforcedAfterLoad) {
 
 // ------------------- crash-safe session journal (v3 framing) -------------
 
-/// Wraps a payload in the v3 frame: "<crc:8 hex> <len> <payload>\n".
-std::string frame(const std::string& payload) {
-  char head[32];
-  std::snprintf(head, sizeof(head), "%08x %zu ", crc32(payload),
-                payload.size());
-  return std::string(head) + payload + "\n";
-}
-
 SessionCheckpoint journal_checkpoint() {
   SessionCheckpoint s;
   s.seed = 5;
@@ -276,7 +268,7 @@ TEST(SessionJournalV3Test, MalformedFieldsThrowWithSourceAndLine) {
       {"wat 1 2", "unknown record kind"},
   };
   for (const auto& [payload, expected] : cases) {
-    std::istringstream in("robotune-session v3\n" + frame(payload));
+    std::istringstream in("robotune-session v3\n" + frame_message(payload));
     SessionCheckpoint s;
     try {
       load_session(in, s, LoadMode::kStrict, nullptr, "journal.ckpt");
@@ -296,10 +288,10 @@ TEST(SessionJournalV3Test, RecoverTruncatesAtAMalformedButFramedRecord) {
   // still a corruption point: recover keeps everything before it and
   // drops it plus everything after.
   std::istringstream in("robotune-session v3\n" +
-                        frame("meta 5 20 W") +
-                        frame("eval 0 ok 1 1 0 0 1 1 0.5") +
-                        frame("eval 1 ok not-a-number 1 0 0 1 1 0.5") +
-                        frame("eval 2 ok 3 3 0 0 1 1 0.5"));
+                        frame_message("meta 5 20 W") +
+                        frame_message("eval 0 ok 1 1 0 0 1 1 0.5") +
+                        frame_message("eval 1 ok not-a-number 1 0 0 1 1 0.5") +
+                        frame_message("eval 2 ok 3 3 0 0 1 1 0.5"));
   SessionCheckpoint s;
   SessionLoadReport report;
   load_session(in, s, LoadMode::kRecover, &report);

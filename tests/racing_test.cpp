@@ -339,7 +339,7 @@ TEST(SchedulerRacingTest, RacingIdenticalUnderFaultsAndPreemptions) {
 }
 
 TEST(SchedulerRacingTest, KillsAreCensoredRefundedAndCounted) {
-  if (obs::kCompiledIn) obs::metrics().reset();
+  obs::metrics().reset();
   const auto units = make_units(10, make_objective().space().size(), 19);
   const double deadline = 0.75 * baseline_median(units, 99);
 
@@ -370,17 +370,14 @@ TEST(SchedulerRacingTest, KillsAreCensoredRefundedAndCounted) {
   ASSERT_GT(kills, 0u);
   // Killed runs are censored: they never feed the guard median.
   EXPECT_EQ(guard.observations(), clean);
-  if (obs::kCompiledIn) {
-    const auto snapshot = obs::metrics().snapshot();
-    EXPECT_EQ(snapshot.counters.at("evals.killed"), kills);
-    EXPECT_EQ(snapshot.counters.at("exec.racing.kills"), kills);
-    EXPECT_EQ(snapshot.counters.at("exec.racing.kills.deadline"), kills);
-    EXPECT_EQ(snapshot.counters.at("evals.censored"), kills);
-  }
+  const auto snapshot = obs::metrics().snapshot();
+  EXPECT_EQ(snapshot.counters.at("evals.killed"), kills);
+  EXPECT_EQ(snapshot.counters.at("exec.racing.kills"), kills);
+  EXPECT_EQ(snapshot.counters.at("exec.racing.kills.deadline"), kills);
+  EXPECT_EQ(snapshot.counters.at("evals.censored"), kills);
 }
 
 TEST(SchedulerRacingTest, DroppedCancellationDeliveryDelaysTheKill) {
-  if (!chaos::kCompiledIn) GTEST_SKIP() << "chaos hooks compiled out";
   const auto units = make_units(6, make_objective().space().size(), 23);
   const double deadline = 0.5 * baseline_median(units, 77);
 

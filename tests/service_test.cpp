@@ -139,9 +139,9 @@ TEST(ServiceProtocolTest, EscapeRoundTripsArbitraryStrings) {
 }
 
 TEST(ServiceProtocolTest, FrameReaderHandlesSplitAndBatchedFrames) {
-  const std::string frames = service::frame_message("first message") +
-                             service::frame_message("second") +
-                             service::frame_message("third one");
+  const std::string frames = frame_message("first message") +
+                             frame_message("second") +
+                             frame_message("third one");
   // Feed in awkward 3-byte chunks: frames arrive regardless of read
   // boundaries.
   service::FrameReader reader;
@@ -162,7 +162,7 @@ TEST(ServiceProtocolTest, FrameReaderHandlesSplitAndBatchedFrames) {
 
 TEST(ServiceProtocolTest, FrameReaderPoisonsOnCorruption) {
   service::FrameReader reader;
-  std::string good = service::frame_message("fine");
+  std::string good = frame_message("fine");
   good[0] = good[0] == '0' ? '1' : '0';  // break the CRC
   reader.feed(good);
   std::string payload, error;
@@ -171,7 +171,7 @@ TEST(ServiceProtocolTest, FrameReaderPoisonsOnCorruption) {
   EXPECT_FALSE(error.empty());
   // Poisoned: even a valid follow-up frame is refused — the stream can
   // no longer be trusted.
-  reader.feed(service::frame_message("valid"));
+  reader.feed(frame_message("valid"));
   EXPECT_EQ(reader.next(payload, error),
             service::FrameReader::Result::kCorrupt);
 }
@@ -793,7 +793,7 @@ class ScriptedPeer {
       ASSERT_GT(n, 0);
       for (const auto& response : responses) {
         const std::string frame =
-            service::frame_message(service::encode_response(response));
+            frame_message(service::encode_response(response));
         ASSERT_EQ(::send(fd, frame.data(), frame.size(), 0),
                   static_cast<ssize_t>(frame.size()));
       }
@@ -915,7 +915,7 @@ TEST(ServiceServerTest, DropsClientsThatNeverCompleteAFrame) {
 
   const int silent = raw_connect();       // never sends a byte
   const int stalled = raw_connect();      // stops mid-frame
-  const std::string frame = service::frame_message(
+  const std::string frame = frame_message(
       service::encode_request([] {
         service::Request r;
         r.verb = "status";
