@@ -381,87 +381,84 @@ std::size_t save_session(const SessionCheckpoint& session,
   out << kSessionHeaderV3 << "\n";
   // Each record is built as a payload string first so its CRC and byte
   // length can frame it (common/frame.h).
-  const auto emit = [&out](const std::string& payload) {
-    write_frame(out, payload);
-  };
-  const auto payload = [](auto&& fill) {
+  const auto record = [&out](auto&& fill) {
     std::ostringstream p;
     p.precision(17);
     fill(p);
-    return std::move(p).str();
+    write_frame(out, std::move(p).str());
   };
-  emit(payload([&](std::ostream& p) {
+  record([&](std::ostream& p) {
     p << "meta " << session.seed << " " << session.budget << " "
       << session.workload;
-  }));
-  emit(payload([&](std::ostream& p) {
+  });
+  record([&](std::ostream& p) {
     p << "seeding " << (session.indexed_seeding ? "indexed" : "sequential");
-  }));
+  });
   // Only racing-active sessions carry the record: racing-off journals
   // stay byte-identical to those of releases without the racing layer.
   if (!session.racing_mode.empty() && session.racing_mode != "off") {
-    emit(payload([&](std::ostream& p) {
+    record([&](std::ostream& p) {
       p << "racing " << session.racing_mode;
-    }));
+    });
   }
-  emit(payload([&](std::ostream& p) {
+  record([&](std::ostream& p) {
     p << "selected " << session.selected.size();
     for (std::size_t idx : session.selected) p << " " << idx;
-  }));
-  emit(payload([&](std::ostream& p) {
+  });
+  record([&](std::ostream& p) {
     p << "selection-draws " << session.selection_seed_draws;
-  }));
-  emit(payload([&](std::ostream& p) {
+  });
+  record([&](std::ostream& p) {
     p << "selection-cost " << session.selection_cost_s;
-  }));
+  });
   for (const auto& config : session.memoized) {
-    emit(payload([&](std::ostream& p) {
+    record([&](std::ostream& p) {
       p << "memo " << config.value_s << " " << config.unit.size();
       for (double u : config.unit) p << " " << u;
-    }));
+    });
   }
   for (const auto& e : session.evaluations) {
-    emit(payload([&](std::ostream& p) {
+    record([&](std::ostream& p) {
       p << "eval " << e.index << " " << sparksim::to_string(e.status) << " "
         << e.value_s << " " << e.cost_s << " " << (e.stopped_early ? 1 : 0)
         << " " << (e.transient ? 1 : 0) << " " << e.attempts << " "
         << e.unit.size();
       for (double u : e.unit) p << " " << u;
-    }));
+    });
   }
   for (const auto& event : session.kill_events) {
-    emit(payload([&](std::ostream& p) {
+    record([&](std::ostream& p) {
       p << "kill " << event.index << " "
         << sparksim::to_string(event.reason);
-    }));
+    });
   }
   for (const auto& event : session.degrade_events) {
-    emit(payload([&](std::ostream& p) {
+    record([&](std::ostream& p) {
       p << "degrade " << event.iter << " " << event.rung;
-    }));
+    });
   }
   // External-only records come last and only for external sessions, so
   // internal-mode journals stay byte-identical to pre-external releases
   // (same contract as the `racing` record above).
   if (session.external) {
-    emit(payload([&](std::ostream& p) { p << "mode external"; }));
+    record([&](std::ostream& p) { p << "mode external"; });
     for (const auto& s : session.suggests) {
-      emit(payload([&](std::ostream& p) {
+      record([&](std::ostream& p) {
         p << "suggest " << s.index << " " << s.lease << " " << s.unit.size();
         for (double u : s.unit) p << " " << u;
-      }));
+      });
     }
     for (const auto& ack : session.observe_acks) {
-      emit(payload([&](std::ostream& p) {
+      record([&](std::ostream& p) {
         p << "observe_ack " << ack.index << " "
           << sparksim::to_string(ack.status) << " " << ack.value_s << " "
           << ack.cost_s;
-      }));
+      });
     }
     for (const auto& expiry : session.lease_expiries) {
-      emit(payload([&](std::ostream& p) {
+      record([&](std::ostream& p) {
         p << "lease_expired " << expiry.index << " " << expiry.lease;
-      }));
+      });
     }
   }
   return session.evaluations.size();

@@ -35,15 +35,24 @@ kill_daemon() {
 }
 trap kill_daemon EXIT
 
+# crash_daemon: kill -9 the daemon and require it to have left its
+# socket file behind, so the next start_daemon exercises the daemon's
+# stale-socket replacement.
+crash_daemon() {
+  kill_daemon
+  test -S "$SOCK"
+}
+
 status_ok() { "$CLI" --connect "$SOCK" --remote status > /dev/null 2>&1; }
 
 # start_daemon <stdout file> <robotune_serve args...>: launches the
 # daemon on $SOCK (pid in $SRV) and waits for the socket file and a
-# status answer.  By then the daemon's recovery report is flushed.
+# status answer.  By then the daemon's recovery report is flushed.  A
+# socket file left by a killed daemon is not removed here: the daemon
+# must replace it itself, and the status poll waits until it has.
 start_daemon() {
   local out=$1
   shift
-  rm -f "$SOCK"
   "$SERVE" "$@" > "$out" &
   SRV=$!
   poll 60 test -S "$SOCK"

@@ -25,7 +25,7 @@ done
 # Crash as soon as the first session has journaled an evaluation: the
 # later sessions are still queued or running.
 poll 120 session_started
-kill_daemon
+crash_daemon
 
 start_daemon recovery.out --root fleet --max-live 2 --slots 1
 cat recovery.out

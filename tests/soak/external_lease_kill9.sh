@@ -34,7 +34,7 @@ for id in 1 2 3 4 5 6 7 8; do
   sort -o "pre-$id.txt" "pre-$id.txt"
   [ "$(wc -l < "pre-$id.txt")" = 4 ]
 done
-kill_daemon
+crash_daemon
 
 # Restart with a short lease timeout so the drive loop below reclaims
 # anything this script leases and abandons.
