@@ -3,7 +3,8 @@
 // Targets are standardized internally (zero mean, unit variance) so the
 // kernel's default hyperparameters are sensible for execution times of any
 // magnitude.  Hyperparameters can be refit by maximizing the log marginal
-// likelihood with multi-start L-BFGS over log-parameters.
+// likelihood with multi-start L-BFGS over log-parameters, using its
+// analytic gradient (Rasmussen & Williams eq. 5.9).
 #pragma once
 
 #include <cstddef>
@@ -46,7 +47,12 @@ class GaussianProcess : public Surrogate {
   GaussianProcess& operator=(GaussianProcess&&) noexcept = default;
 
   /// Fits the posterior on (X, y).  X rows are points in the (typically
-  /// unit-cube) search space.
+  /// unit-cube) search space.  With optimize_hyperparameters, first
+  /// maximizes the log marginal likelihood: every evaluation costs one
+  /// factorization (logical counters `gp.lml_evals` and
+  /// `gp.factorizations`, the latter counting every factorization, so a
+  /// fit counts one more factorization than evaluations), plus K⁻¹ when
+  /// L-BFGS asks for the gradient.
   void fit(const std::vector<std::vector<double>>& x,
            std::span<const double> y);
 
@@ -99,6 +105,14 @@ class GaussianProcess : public Surrogate {
 
   /// Log marginal likelihood of the current fit (standardized targets).
   double log_marginal_likelihood() const;
+
+  /// The objective fit() minimizes: sets the kernel's hyperparameters to
+  /// `log_params`, refactorizes, and returns −LML; when `grad` is
+  /// non-empty (size kernel().num_params()) also writes ∂(−LML)/∂log θ.
+  /// A failed factorization (NumericalError) returns 1e12 and an
+  /// all-zero gradient.  Requires a prior fit().
+  double negative_log_marginal(std::span<const double> log_params,
+                               std::span<double> grad);
 
   bool trained() const noexcept override { return !train_x_.empty(); }
   std::size_t num_points() const noexcept override { return train_x_.size(); }

@@ -51,6 +51,16 @@ class Kernel {
     }
   }
 
+  /// Adds w·∂k(a,b)/∂log θ_j into grad[j] for every hyperparameter θ_j,
+  /// in log_params() order — the per-pair term of the analytic
+  /// log-marginal-likelihood gradient.  `observed_diagonal` marks a
+  /// training point paired with itself, the only entry diagonal_noise()
+  /// adds to.
+  virtual void accumulate_param_gradient(std::span<const double> a,
+                                         std::span<const double> b,
+                                         bool observed_diagonal, double w,
+                                         std::span<double> grad) const = 0;
+
   /// Extra variance added on the diagonal for *observed* points only
   /// (white noise contributes here, not in cross-covariances with test
   /// points).
@@ -77,6 +87,10 @@ class Matern52 : public Kernel {
   void accumulate_covariance_row(std::span<const std::vector<double>> points,
                                  std::span<const double> x,
                                  std::span<double> out) const override;
+  void accumulate_param_gradient(std::span<const double> a,
+                                 std::span<const double> b,
+                                 bool observed_diagonal, double w,
+                                 std::span<double> grad) const override;
   std::size_t num_params() const override { return 2; }
   std::vector<double> log_params() const override;
   void set_log_params(std::span<const double> values) override;
@@ -108,6 +122,10 @@ class Matern52Ard : public Kernel {
   void accumulate_covariance_row(std::span<const std::vector<double>> points,
                                  std::span<const double> x,
                                  std::span<double> out) const override;
+  void accumulate_param_gradient(std::span<const double> a,
+                                 std::span<const double> b,
+                                 bool observed_diagonal, double w,
+                                 std::span<double> grad) const override;
   std::size_t num_params() const override { return scales_.size() + 1; }
   std::vector<double> log_params() const override;
   void set_log_params(std::span<const double> values) override;
@@ -119,6 +137,9 @@ class Matern52Ard : public Kernel {
 
  private:
   std::vector<double> scales_;
+  /// 1 / l_i², kept beside scales_ so the hyperparameter gradient's
+  /// per-pair sweep multiplies instead of dividing.
+  std::vector<double> inv_sq_scales_;
   double signal_variance_;
 };
 
@@ -136,6 +157,10 @@ class WhiteNoise : public Kernel {
   void accumulate_covariance_row(std::span<const std::vector<double>>,
                                  std::span<const double>,
                                  std::span<double>) const override {}
+  void accumulate_param_gradient(std::span<const double> a,
+                                 std::span<const double> b,
+                                 bool observed_diagonal, double w,
+                                 std::span<double> grad) const override;
   double diagonal_noise() const override { return noise_variance_; }
   std::size_t num_params() const override { return 1; }
   std::vector<double> log_params() const override;
@@ -162,6 +187,10 @@ class SumKernel : public Kernel {
   void accumulate_covariance_row(std::span<const std::vector<double>> points,
                                  std::span<const double> x,
                                  std::span<double> out) const override;
+  void accumulate_param_gradient(std::span<const double> a,
+                                 std::span<const double> b,
+                                 bool observed_diagonal, double w,
+                                 std::span<double> grad) const override;
   double diagonal_noise() const override;
   std::size_t num_params() const override;
   std::vector<double> log_params() const override;

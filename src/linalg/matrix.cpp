@@ -384,6 +384,49 @@ std::vector<double> cholesky_solve(const Matrix& l,
   return solve_lower_transposed(l, solve_lower(l, b));
 }
 
+namespace {
+
+/// y[0..len) += c * x[0..len), four independent lanes at a time.
+void axpy_prefix(double c, const double* x, double* y, std::size_t len) {
+  const simd::v4d cv = simd::broadcast(c);
+  std::size_t i = 0;
+  for (; i + simd::kLanes <= len; i += simd::kLanes) {
+    simd::store(y + i, simd::load(y + i) + cv * simd::load(x + i));
+  }
+  for (; i < len; ++i) y[i] += c * x[i];
+}
+
+}  // namespace
+
+Matrix cholesky_inverse(const Matrix& l) {
+  const std::size_t n = l.rows();
+  // M = L⁻¹, lower triangular: row i of L·M = e_i gives
+  //   M(i, :) = (e_i − Σ_{k<i} L(i,k) M(k, :)) / L(i,i),
+  // and row k of M is zero past column k.
+  Matrix m(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double* mi = m.row(i).data();
+    for (std::size_t k = 0; k < i; ++k) {
+      axpy_prefix(-l(i, k), m.row(k).data(), mi, k + 1);
+    }
+    mi[i] += 1.0;
+    const double inv = 1.0 / l(i, i);
+    for (std::size_t j = 0; j <= i; ++j) mi[j] *= inv;
+  }
+  // A⁻¹ = Mᵀ M = Σ_k M(k, :)ᵀ M(k, :), lower triangle, then mirrored.
+  Matrix out(n, n);
+  for (std::size_t k = 0; k < n; ++k) {
+    const double* mk = m.row(k).data();
+    for (std::size_t a = 0; a <= k; ++a) {
+      axpy_prefix(mk[a], mk, out.row(a).data(), a + 1);
+    }
+  }
+  for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t b = 0; b < a; ++b) out(b, a) = out(a, b);
+  }
+  return out;
+}
+
 double log_det_from_cholesky(const Matrix& l) {
   double sum = 0.0;
   for (std::size_t i = 0; i < l.rows(); ++i) sum += std::log(l(i, i));

@@ -182,6 +182,27 @@ TEST(SolveTest, CholeskySolveMatchesDirectResidual) {
   for (std::size_t i = 0; i < 10; ++i) EXPECT_NEAR(ax[i], b[i], 1e-8);
 }
 
+TEST(SolveTest, CholeskyInverseTimesMatrixIsIdentity) {
+  Rng rng(12);
+  const Matrix a = random_spd(9, rng);
+  Matrix l = cholesky(a);
+  const Matrix inv = cholesky_inverse(l);
+  const Matrix product = a * inv;
+  for (std::size_t i = 0; i < 9; ++i) {
+    for (std::size_t j = 0; j < 9; ++j) {
+      EXPECT_NEAR(product(i, j), i == j ? 1.0 : 0.0, 1e-10);
+      EXPECT_EQ(inv(i, j), inv(j, i));
+    }
+  }
+  // A factor carrying reserved capacity (the GP's grown factor) reads
+  // through its stride and gives the same inverse.
+  l.reserve_square(16);
+  const Matrix strided = cholesky_inverse(l);
+  for (std::size_t i = 0; i < 9; ++i) {
+    for (std::size_t j = 0; j < 9; ++j) EXPECT_EQ(strided(i, j), inv(i, j));
+  }
+}
+
 TEST(SolveTest, LowerTransposedSolveResidual) {
   Rng rng(13);
   const Matrix a = random_spd(6, rng);
