@@ -1,6 +1,7 @@
 #include "core/external.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "core/bo_engine.h"
 
@@ -32,6 +33,42 @@ const char* to_string(TellVerdict verdict) noexcept {
       return "unknown";
   }
   return "unknown";
+}
+
+tuners::Evaluation funnel_external(const std::vector<double>& unit,
+                                   const ExternalObservation& o,
+                                   double threshold) {
+  tuners::Evaluation e;
+  e.unit = unit;
+  e.value_s = o.value_s;
+  e.cost_s = o.cost_s;
+  e.status = o.status;
+  e.attempts = 1;
+  switch (o.status) {
+    case sparksim::RunStatus::kOk:
+      if (std::isfinite(e.value_s) && threshold > 0.0 &&
+          e.value_s >= threshold) {
+        e.value_s = threshold;
+        e.stopped_early = true;
+      }
+      break;
+    case sparksim::RunStatus::kTimeLimit:
+      if (threshold > 0.0) e.value_s = threshold;
+      e.stopped_early = true;
+      break;
+    case sparksim::RunStatus::kOom:
+    case sparksim::RunStatus::kInfeasible:
+      e.value_s = (threshold > 0.0 ? threshold : 600.0) * 1.05;
+      break;
+    case sparksim::RunStatus::kExecutorLost:
+    case sparksim::RunStatus::kFetchFailure:
+    case sparksim::RunStatus::kPreempted:
+    case sparksim::RunStatus::kKilled:
+      if (threshold > 0.0) e.value_s = threshold;
+      e.transient = true;
+      break;
+  }
+  return e;
 }
 
 void ExternalBridge::bind(SessionLog* log) {

@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "core/persistence.h"
+#include "tuners/tuner.h"
 
 namespace robotune::core {
 
@@ -59,6 +60,18 @@ struct LeaseGrant {
   std::uint64_t deadline = 0;  ///< tick at which the reaper reclaims it
   std::vector<double> unit;    ///< full-space unit vector to evaluate
 };
+
+/// Maps an externally reported observation onto the evaluation the
+/// simulator path would have produced under the round's guard
+/// `threshold`: successes at or above it are censored like a guard stop,
+/// failures carry the same penalty/censoring split as sparksim's
+/// objective, and non-finite values fall through to append_evaluation's
+/// quarantine.  External executors report one measurement per
+/// suggestion, so attempts is always 1 (no seed draws to fast-forward on
+/// resume).
+tuners::Evaluation funnel_external(const std::vector<double>& unit,
+                                   const ExternalObservation& o,
+                                   double threshold);
 
 /// What `tell` did with an observation.
 enum class TellVerdict {

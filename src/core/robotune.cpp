@@ -122,13 +122,9 @@ RoboTuneReport RoboTune::tune_report(sparksim::SparkObjective& objective,
   BoOptions bo = options_.bo;
   bo.budget = budget;
   bo.seed = seed;
-  // Tuner-level pacing (service layer) flows into the engine unless the
-  // caller already wired explicit hooks through RoboTuneOptions::bo.
-  if (bo.cancel == nullptr) bo.cancel = pacing_cancel();
-  if (!bo.yield) bo.yield = pacing_yield();
   BoEngine engine(report.selected, objective.space().default_unit(), bo);
-  report.bo =
-      engine.run(objective, memoized, observer, session, scheduler, external);
+  report.bo = engine.run(objective, memoized, observer, session, scheduler,
+                         external, [this] { return paced_stop(); });
   report.tuning = report.bo.tuning;
   report.tuning.tuner = name();
 

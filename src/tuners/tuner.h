@@ -129,7 +129,6 @@ class Tuner {
     cancel_ = cancel;
     yield_ = std::move(yield);
   }
-  const std::atomic<bool>* pacing_cancel() const noexcept { return cancel_; }
   const std::function<void()>& pacing_yield() const noexcept {
     return yield_;
   }

@@ -8,6 +8,7 @@
 #include "core/memoization.h"
 #include "core/parameter_selection.h"
 #include "core/robotune.h"
+#include "exec/eval_scheduler.h"
 #include "sparksim/objective.h"
 
 namespace robotune::core {
@@ -315,6 +316,112 @@ TEST(BoEngineTest, InvalidConfigurationsThrow) {
   options.budget = 5;
   options.initial_samples = 10;
   EXPECT_THROW(BoEngine({0}, space.default_unit(), options), InvalidArgument);
+}
+
+void expect_same_result(const BoResult& a, const BoResult& b) {
+  ASSERT_EQ(a.tuning.history.size(), b.tuning.history.size());
+  for (std::size_t i = 0; i < a.tuning.history.size(); ++i) {
+    const auto& x = a.tuning.history[i];
+    const auto& y = b.tuning.history[i];
+    EXPECT_EQ(x.unit, y.unit) << "evaluation " << i;
+    EXPECT_EQ(x.value_s, y.value_s) << i;
+    EXPECT_EQ(x.cost_s, y.cost_s) << i;
+    EXPECT_EQ(x.status, y.status) << i;
+    EXPECT_EQ(x.attempts, y.attempts) << i;
+  }
+  EXPECT_EQ(a.tuning.best_index, b.tuning.best_index);
+  EXPECT_EQ(a.tuning.search_cost_s, b.tuning.search_cost_s);
+  EXPECT_EQ(a.chosen_acquisitions, b.chosen_acquisitions);
+  EXPECT_EQ(a.hedge_gains, b.hedge_gains);
+  EXPECT_EQ(a.iterations_run, b.iterations_run);
+  EXPECT_EQ(a.early_stopped, b.early_stopped);
+}
+
+BoOptions step_options(int batch) {
+  BoOptions options;
+  options.budget = 22;
+  options.initial_samples = 10;
+  options.hyperfit_every = 4;
+  options.batch_size = batch;
+  return options;
+}
+
+// propose/tell stand on their own: driving them by hand against the
+// objective reproduces run() exactly.
+TEST(BoEngineTest, ProposeTellByHandMatchesRun) {
+  const auto space = sparksim::spark24_config_space();
+  auto run_objective = make_objective(WorkloadKind::kTeraSort, 1, 14);
+  BoEngine reference(small_selection(space), space.default_unit(),
+                     step_options(1));
+  const auto expected = reference.run(run_objective);
+
+  auto objective = make_objective(WorkloadKind::kTeraSort, 1, 14);
+  BoEngine engine(small_selection(space), space.default_unit(),
+                  step_options(1));
+  engine.start();
+  int rounds = 0;
+  while (const auto round = engine.propose()) {
+    EXPECT_EQ(round->first_index, engine.result().tuning.history.size());
+    EXPECT_EQ(round->initial, rounds < 10);
+    std::vector<tuners::Evaluation> evals;
+    for (const auto& point : round->points) {
+      evals.push_back(tuners::to_evaluation(
+          point, objective.evaluate(point, round->threshold)));
+    }
+    engine.tell(evals);
+    ++rounds;
+  }
+  EXPECT_EQ(rounds, 22);
+  expect_same_result(engine.result(), expected);
+}
+
+TEST(BoEngineTest, ProposeTellByHandMatchesRunOnAScheduler) {
+  const auto space = sparksim::spark24_config_space();
+  exec::SchedulerOptions sched;
+  sched.parallelism = 2;
+  exec::EvalScheduler scheduler(sched);
+  auto run_objective = make_objective(WorkloadKind::kTeraSort, 1, 15);
+  BoEngine reference(small_selection(space), space.default_unit(),
+                     step_options(4));
+  const auto expected =
+      reference.run(run_objective, {}, nullptr, nullptr, &scheduler);
+
+  auto objective = make_objective(WorkloadKind::kTeraSort, 1, 15);
+  BoEngine engine(small_selection(space), space.default_unit(),
+                  step_options(4));
+  engine.start();
+  std::vector<std::size_t> sizes;
+  while (const auto round = engine.propose()) {
+    std::vector<exec::EvalRequest> requests;
+    for (const auto& point : round->points) {
+      requests.push_back({point, round->threshold});
+    }
+    const auto outcomes =
+        scheduler.run_batch(objective, requests, round->first_index);
+    std::vector<tuners::Evaluation> evals;
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+      evals.push_back(tuners::to_evaluation(round->points[i], outcomes[i]));
+    }
+    engine.tell(evals);
+    sizes.push_back(round->points.size());
+  }
+  // The initial design comes in batch-sized chunks too; the last BO
+  // round is cut to the remaining budget.
+  EXPECT_EQ(sizes, (std::vector<std::size_t>{4, 4, 2, 4, 4, 4}));
+  expect_same_result(engine.result(), expected);
+}
+
+TEST(BoEngineTest, StepMisuseThrows) {
+  const auto space = sparksim::spark24_config_space();
+  BoEngine engine(small_selection(space), space.default_unit(),
+                  step_options(2));
+  EXPECT_THROW(engine.propose(), InvalidArgument);  // before start()
+  engine.start();
+  EXPECT_THROW(engine.tell({}), InvalidArgument);  // nothing proposed
+  const auto round = engine.propose();
+  ASSERT_TRUE(round.has_value());
+  EXPECT_THROW(engine.propose(), InvalidArgument);  // round still open
+  EXPECT_THROW(engine.tell({tuners::Evaluation{}}), InvalidArgument);
 }
 
 // ------------------------------------------------------------ RoboTune ----
