@@ -232,20 +232,14 @@ void BM_AcquisitionOptimize(benchmark::State& state) {
   }
   gp::GaussianProcess model(gp::ard_kernel(6), gp::GpOptions{false}, 1);
   model.fit(x, y);
-  // range(0): 1 = analytic gradients (default hot path), 0 = numeric
-  // central differences (the pre-§8 baseline, kept for comparison).
   gp::AcquisitionOptimizerOptions options;
-  options.analytic_gradients = state.range(0) != 0;
-  options.workers = 1;  // sequential: isolates the gradient-path cost
+  options.workers = 1;  // sequential: the multi-start cost without a pool
   for (auto _ : state) {
     benchmark::DoNotOptimize(gp::optimize_acquisition(
         model, gp::AcquisitionKind::kEI, 6, rng, {}, options));
   }
 }
-BENCHMARK(BM_AcquisitionOptimize)
-    ->Arg(1)
-    ->Arg(0)
-    ->ArgNames({"analytic"});
+BENCHMARK(BM_AcquisitionOptimize);
 
 void BM_LbfgsbRosenbrock(benchmark::State& state) {
   const opt::Objective rosen = [](std::span<const double> x,

@@ -2,11 +2,10 @@
 //
 // Measures the GP/acquisition kernels this library spends its time in —
 // fit (fixed and with the hyperparameter fit), single/batched prediction,
-// and acquisition optimization with numeric vs analytic gradients — and
-// writes one JSON report that CI gates on: the analytic path must beat
-// the numeric path at the largest training-set size, and the
-// hyperparameter fit must stay within 2x its committed cost relative to
-// a fixed-hyperparameter fit.
+// and acquisition optimization — and writes one JSON report that CI gates
+// on: the hyperparameter fit and the acquisition optimization must each
+// stay within 2x their committed cost relative to a fixed-hyperparameter
+// fit.
 //
 // Unlike the figN benches this harness times *microseconds*, so it takes
 // the best of ROBOTUNE_BENCH_HOTPATH_REPS repetitions (minimum = least
@@ -85,10 +84,8 @@ struct SizeReport {
   double hyperfit_ns = 0.0;  ///< fit() with LML optimization (n <= 512)
   double predict_ns = 0.0;
   double predict_batch_per_point_ns = 0.0;
-  double acq_opt_numeric_ns = 0.0;
-  double acq_opt_analytic_ns = 0.0;
+  double acq_opt_analytic_ns = 0.0;  ///< sequential multi-start
   double acq_opt_analytic_parallel_ns = 0.0;
-  double speedup_analytic = 0.0;  ///< numeric / analytic (sequential both)
   double speedup_batch = 0.0;     ///< predict / predict_batch per point
   // ---- DESIGN.md §15: the O(n³)-wall columns -----------------------------
   double gp_add_point_ns = 0.0;     ///< rank-1 factor extension, O(n²)
@@ -198,16 +195,13 @@ SizeReport measure(int n, int dims, int reps) {
   });
   report.speedup_sparse = report.gp_fit_ns / report.rff_fit_ns;
 
-  // Acquisition optimization: identical probes and starts for every
-  // variant (the optimizer consumes exactly one draw from an identically
-  // seeded Rng), so the timing difference is the gradient path.  The
-  // numeric baseline is O(dims·n²) per L-BFGS step — past n = 512 it
-  // dominates the whole bench run for a column nobody gates on, so the
-  // acquisition matrix stops there.
+  // Acquisition optimization: identical probes and starts for both
+  // variants (the optimizer consumes exactly one draw from an identically
+  // seeded Rng), so the timing difference is the pooled multi-start.  The
+  // acquisition matrix stops at n = 512.
   if (n <= 512) {
-    const auto time_acq = [&](bool analytic, int workers) {
+    const auto time_acq = [&](int workers) {
       gp::AcquisitionOptimizerOptions options;
-      options.analytic_gradients = analytic;
       options.workers = workers;
       return time_best_ns(reps, [&] {
         Rng acq_rng(99);
@@ -216,11 +210,8 @@ SizeReport measure(int n, int dims, int reps) {
                                          acq_rng, {}, options)[0];
       });
     };
-    report.acq_opt_numeric_ns = time_acq(/*analytic=*/false, /*workers=*/1);
-    report.acq_opt_analytic_ns = time_acq(true, 1);
-    report.acq_opt_analytic_parallel_ns = time_acq(true, /*global pool*/ 0);
-    report.speedup_analytic =
-        report.acq_opt_numeric_ns / report.acq_opt_analytic_ns;
+    report.acq_opt_analytic_ns = time_acq(/*workers=*/1);
+    report.acq_opt_analytic_parallel_ns = time_acq(/*global pool*/ 0);
   }
 
   if (sink == 42.0) std::printf("\n");  // defeat dead-code elimination
@@ -251,11 +242,9 @@ void write_json(const std::string& path, int dims, int reps,
         << ", \"speedup_purge\": " << r.speedup_purge
         << ", \"rff_fit_ns\": " << r.rff_fit_ns
         << ", \"speedup_sparse\": " << r.speedup_sparse
-        << ", \"acq_opt_numeric_ns\": " << r.acq_opt_numeric_ns
         << ", \"acq_opt_analytic_ns\": " << r.acq_opt_analytic_ns
         << ", \"acq_opt_analytic_parallel_ns\": "
-        << r.acq_opt_analytic_parallel_ns
-        << ", \"speedup_analytic\": " << r.speedup_analytic << "}"
+        << r.acq_opt_analytic_parallel_ns << "}"
         << (i + 1 < reports.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
@@ -274,7 +263,7 @@ int main(int argc, char** argv) {
   std::printf("%6s %12s %12s %12s %12s %10s %10s %12s %12s %10s %10s\n",
               "n", "gp_fit_us", "hyperfit_us", "predict_ns", "batch_ns",
               "add_us", "rm_us", "purge8_us", "rff_fit_us", "sparse_x",
-              "acq_x");
+              "acq/fit");
   std::vector<SizeReport> reports;
   for (int n : sizes) {
     // The exact fit is O(n³): past n = 1000 a handful of repetitions is
@@ -284,12 +273,12 @@ int main(int argc, char** argv) {
     reports.push_back(r);
     std::printf(
         "%6d %12.1f %12.1f %12.1f %12.1f %10.1f %10.1f %12.1f %12.1f %9.2fx "
-        "%9.2fx\n",
+        "%10.1f\n",
         r.n, r.gp_fit_ns / 1e3, r.hyperfit_ns / 1e3, r.predict_ns,
         r.predict_batch_per_point_ns, r.gp_add_point_ns / 1e3,
         r.gp_remove_point_ns / 1e3,
         r.purge_cycle_ns / 1e3, r.rff_fit_ns / 1e3, r.speedup_sparse,
-        r.speedup_analytic);
+        r.acq_opt_analytic_ns / r.gp_fit_ns);
   }
   write_json(out_path, dims, reps, reports);
   std::printf("\nwrote %s\n", out_path.c_str());

@@ -165,36 +165,25 @@ std::vector<double> optimize_acquisition(
 
   // Each start gets a freshly minted objective owning private scratch, so
   // concurrent descents never share writable state (the GP is only read).
-  opt::ObjectiveFactory factory;
-  if (options.analytic_gradients) {
-    factory = [&gp, kind, best, params]() -> opt::Objective {
-      auto ws = std::make_shared<GpWorkspace>();
-      auto pg = std::make_shared<PredictGradient>();
-      return [&gp, kind, best, params, ws, pg](
-                 std::span<const double> x, std::span<double> grad) -> double {
-        if (grad.empty()) {
-          const Prediction p = gp.predict(x, *ws);
-          return -acquisition_value(kind, p.mean, p.stddev(), best, params);
-        }
-        gp.predict_with_gradient(x, *ws, *pg);
-        obs::count("gp.acq_grad");
-        const double u =
-            acquisition_value_gradient(kind, *pg, best, params, grad);
-        for (double& g : grad) g = -g;
-        return -u;
-      };
+  // Exact posterior gradients cost one O(n²) pass per L-BFGS evaluation.
+  const opt::ObjectiveFactory factory = [&gp, kind, best,
+                                         params]() -> opt::Objective {
+    auto ws = std::make_shared<GpWorkspace>();
+    auto pg = std::make_shared<PredictGradient>();
+    return [&gp, kind, best, params, ws, pg](std::span<const double> x,
+                                            std::span<double> grad) -> double {
+      if (grad.empty()) {
+        const Prediction p = gp.predict(x, *ws);
+        return -acquisition_value(kind, p.mean, p.stddev(), best, params);
+      }
+      gp.predict_with_gradient(x, *ws, *pg);
+      obs::count("gp.acq_grad");
+      const double u =
+          acquisition_value_gradient(kind, *pg, best, params, grad);
+      for (double& g : grad) g = -g;
+      return -u;
     };
-  } else {
-    factory = [&gp, kind, best, params]() -> opt::Objective {
-      auto ws = std::make_shared<GpWorkspace>();
-      return opt::numeric_gradient(
-          [&gp, kind, best, params, ws](std::span<const double> x) {
-            const Prediction p = gp.predict(x, *ws);
-            return -acquisition_value(kind, p.mean, p.stddev(), best, params);
-          },
-          1e-6);
-    };
-  }
+  };
 
   ThreadPool* pool = options.pool;
   if (pool == nullptr && options.workers != 1) pool = &ThreadPool::global();

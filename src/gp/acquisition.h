@@ -55,10 +55,6 @@ struct AcquisitionOptimizerOptions {
   int starts = 8;
   int probe_candidates = 256;
   opt::LbfgsbOptions lbfgsb;
-  /// Exact posterior gradients in one O(n²) pass per L-BFGS evaluation
-  /// instead of the (2·dims + 1) full predictions central differences
-  /// cost.  The numeric fallback is kept for A/B benchmarking.
-  bool analytic_gradients = true;
   /// Multi-start execution: 0 runs the starts on the process-wide
   /// ThreadPool::global(); 1 forces the inline sequential path.  An
   /// explicit `pool` overrides both.  The returned point is byte-identical

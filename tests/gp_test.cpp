@@ -674,30 +674,6 @@ TEST(OptimizeAcquisitionTest, ByteIdenticalAcrossWorkerCounts) {
   }
 }
 
-TEST(OptimizeAcquisitionTest, AnalyticAndNumericLandInSameRegion) {
-  const GaussianProcess gp = fitted_gp_2d();
-  AcquisitionOptimizerOptions analytic;
-  analytic.workers = 1;
-  AcquisitionOptimizerOptions numeric = analytic;
-  numeric.analytic_gradients = false;
-  Rng rng_a(7), rng_n(7);
-  const auto xa =
-      optimize_acquisition(gp, AcquisitionKind::kEI, 2, rng_a, {}, analytic);
-  const auto xn =
-      optimize_acquisition(gp, AcquisitionKind::kEI, 2, rng_n, {}, numeric);
-  // Same probes, same starts; the two gradient paths may stop at slightly
-  // different points of the same basin.
-  const double best = gp.best_observed();
-  GpWorkspace ws;
-  const Prediction pa = gp.predict(xa, ws);
-  const Prediction pn = gp.predict(xn, ws);
-  const double ua =
-      acquisition_value(AcquisitionKind::kEI, pa.mean, pa.stddev(), best);
-  const double un =
-      acquisition_value(AcquisitionKind::kEI, pn.mean, pn.stddev(), best);
-  EXPECT_NEAR(ua, un, 1e-4);
-}
-
 TEST(OptimizeAcquisitionTest, ConsumesExactlyOneRngDraw) {
   const GaussianProcess gp = fitted_gp_2d();
   Rng a(31), b(31);
