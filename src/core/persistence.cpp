@@ -18,9 +18,7 @@ namespace robotune::core {
 
 namespace {
 constexpr const char* kHeader = "robotune-state v1";
-constexpr const char* kSessionHeaderV3 = "robotune-session v3";
-constexpr const char* kSessionHeaderV2 = "robotune-session v2";
-constexpr const char* kSessionHeaderV1 = "robotune-session v1";
+constexpr const char* kSessionHeader = "robotune-session v3";
 
 // Whitespace tokenizer with file:line error context.  Every numeric
 // conversion goes through std::from_chars with a full-token-consumption
@@ -112,10 +110,8 @@ class RecordParser {
   std::size_t pos_ = 0;
 };
 
-// Parses one session record payload (shared by all journal versions;
-// `v1` assigns eval indices by file position).
-void parse_session_record(RecordParser& p, bool v1,
-                          SessionCheckpoint& session) {
+// Parses one session record payload.
+void parse_session_record(RecordParser& p, SessionCheckpoint& session) {
   const std::string_view kind = p.token("record kind");
   if (kind == "meta") {
     session.seed = p.u64("seed");
@@ -152,12 +148,7 @@ void parse_session_record(RecordParser& p, bool v1,
     session.memoized.push_back(std::move(config));
   } else if (kind == "eval") {
     EvalRecord e;
-    if (v1) {
-      // v1 journals are sequential by construction: index = position.
-      e.index = session.evaluations.size();
-    } else {
-      e.index = p.u64("eval index");
-    }
+    e.index = p.u64("eval index");
     const std::string_view status_label = p.token("eval status");
     const auto status =
         sparksim::run_status_from_string(std::string(status_label));
@@ -378,7 +369,7 @@ bool load_state_file(const std::string& path,
 
 std::size_t save_session(const SessionCheckpoint& session,
                          std::ostream& out) {
-  out << kSessionHeaderV3 << "\n";
+  out << kSessionHeader << "\n";
   // Each record is built as a payload string first so its CRC and byte
   // length can frame it (common/frame.h).
   const auto record = [&out](auto&& fill) {
@@ -485,65 +476,53 @@ std::size_t load_session(std::istream& in, SessionCheckpoint& session,
     }
     throw InvalidArgument("load_session: " + source + ": empty stream");
   }
-  int version = 0;
-  if (line == kSessionHeaderV3) {
-    version = 3;
-  } else if (line == kSessionHeaderV2) {
-    version = 2;
-  } else if (line == kSessionHeaderV1) {
-    version = 1;
-  } else if (mode == LoadMode::kRecover) {
-    // A header torn mid-write: nothing trustworthy follows.
+  if (line != kSessionHeader) {
+    if (mode == LoadMode::kStrict) {
+      throw InvalidArgument("load_session: " + source +
+                            ": unrecognized header: " + line);
+    }
+    // A header torn mid-write (or an unsupported format): nothing
+    // trustworthy follows, and version 0 tells the caller so.
     rep.recovered = true;
     ++rep.dropped_records;
     while (std::getline(in, line)) ++rep.dropped_records;
     return 0;
-  } else {
-    throw InvalidArgument("load_session: " + source +
-                          ": unrecognized header: " + line);
   }
-  rep.version = version;
+  rep.version = 3;
 
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty() || line[0] == '#') continue;
-    if (version == 3) {
-      std::string_view record;
-      std::string why;
-      bool ok = unframe_line(line, record, why);
-      if (ok) {
-        RecordParser parser(record, source, line_no);
-        if (mode == LoadMode::kRecover) {
-          // A frame that passes CRC but fails to parse is still treated
-          // as the corruption point: nothing after it can be trusted.
-          // Parse against a scratch copy so a half-parsed record cannot
-          // leave partially-mutated fields in the kept prefix.
-          SessionCheckpoint scratch = session;
-          try {
-            parse_session_record(parser, /*v1=*/false, scratch);
-            session = std::move(scratch);
-          } catch (const InvalidArgument&) {
-            ok = false;
-          }
-        } else {
-          parse_session_record(parser, /*v1=*/false, session);
+    std::string_view record;
+    std::string why;
+    bool ok = unframe_line(line, record, why);
+    if (ok) {
+      RecordParser parser(record, source, line_no);
+      if (mode == LoadMode::kRecover) {
+        // A frame that passes CRC but fails to parse is still treated
+        // as the corruption point: nothing after it can be trusted.
+        // Parse against a scratch copy so a half-parsed record cannot
+        // leave partially-mutated fields in the kept prefix.
+        SessionCheckpoint scratch = session;
+        try {
+          parse_session_record(parser, scratch);
+          session = std::move(scratch);
+        } catch (const InvalidArgument&) {
+          ok = false;
         }
+      } else {
+        parse_session_record(parser, session);
       }
-      if (!ok) {
-        if (mode == LoadMode::kRecover) {
-          rep.recovered = true;
-          ++rep.dropped_records;
-          while (std::getline(in, line)) ++rep.dropped_records;
-          break;
-        }
-        throw InvalidArgument("load_session: " + source + ":" +
-                              std::to_string(line_no) + ": " + why);
+    }
+    if (!ok) {
+      if (mode == LoadMode::kRecover) {
+        rep.recovered = true;
+        ++rep.dropped_records;
+        while (std::getline(in, line)) ++rep.dropped_records;
+        break;
       }
-    } else {
-      // Legacy unframed journals carry no checksum, so corruption is not
-      // reliably detectable: parse strictly regardless of mode.
-      RecordParser parser(line, source, line_no);
-      parse_session_record(parser, version == 1, session);
+      throw InvalidArgument("load_session: " + source + ":" +
+                            std::to_string(line_no) + ": " + why);
     }
   }
   rep.evaluations = session.evaluations.size();

@@ -62,8 +62,9 @@
 // flip detectable at load time: in LoadMode::kRecover the loader
 // truncates at the first bad frame and returns the longest valid record
 // prefix instead of throwing; LoadMode::kStrict keeps the historical
-// throw-on-corruption behavior.  v2 and v1 journals (unframed) are still
-// read — read-only compatibility; the next flush rewrites the file as v3.
+// throw-on-corruption behavior.  Any other header (including the
+// unframed v1/v2 formats nothing writes anymore) is not a journal: strict
+// loads throw, recover loads keep nothing and report version 0.
 //
 // A parallel session journals evaluations in *completion* order, which
 // under concurrency is not index order and can have holes after a crash
@@ -250,23 +251,22 @@ struct SessionLoadReport {
   std::size_t evaluations = 0;      ///< eval records loaded
   std::size_t dropped_records = 0;  ///< journal lines discarded (recover)
   bool recovered = false;           ///< true when anything was dropped
-  int version = 0;                  ///< journal format version (1, 2, 3)
+  int version = 0;  ///< journal format version (3); 0 = unusable header
 };
 
 /// Serializes a session checkpoint (v3 framed format).  Returns the
 /// journal length.
 std::size_t save_session(const SessionCheckpoint& session, std::ostream& out);
 
-/// Restores a checkpoint written by save_session (v3) or by older
-/// releases (v2/v1, read-only).  Strict mode: throws InvalidArgument on
-/// malformed input.  Returns the journal length.
+/// Restores a checkpoint written by save_session.  Strict mode: throws
+/// InvalidArgument on malformed input.  Returns the journal length.
 std::size_t load_session(std::istream& in, SessionCheckpoint& session);
 
-/// LoadMode-aware variant.  In kRecover, a v3 journal with a torn or
+/// LoadMode-aware variant.  In kRecover, a journal with a torn or
 /// bit-flipped tail loads its longest valid record prefix and never
-/// throws (a corrupt header yields an empty checkpoint); legacy v2/v1
-/// journals are always parsed strictly.  `source` labels error messages
-/// (file path); `report`, when non-null, receives what happened.
+/// throws (a corrupt header yields an empty checkpoint and version 0).
+/// `source` labels error messages (file path); `report`, when non-null,
+/// receives what happened.
 std::size_t load_session(std::istream& in, SessionCheckpoint& session,
                          LoadMode mode, SessionLoadReport* report = nullptr,
                          const std::string& source = "<stream>");

@@ -375,43 +375,36 @@ TEST(SessionJournalV3Test, EmptyStreamStrictThrowsRecoverReturnsEmpty) {
   }
 }
 
-TEST(SessionJournalV2Test, LegacyJournalsStillLoadReadOnly) {
-  const std::string v2 =
-      "robotune-session v2\n"
-      "meta 5 20 TeraSort\n"
-      "seeding indexed\n"
-      "selected 2 0 29\n"
-      "selection-draws 60\n"
-      "selection-cost 1234.5\n"
-      "memo 99.25 1 0.5\n"
-      "eval 0 ok 120.5 120.5 0 0 1 2 0.25 0.75\n"
-      "eval 1 time-limit 480 480 1 0 1 2 0.1 0.9\n";
-  for (const LoadMode mode : {LoadMode::kStrict, LoadMode::kRecover}) {
-    std::istringstream in(v2);
+// The unframed v1/v2 formats are no longer read.
+const char* const kLegacyJournals[] = {
+    "robotune-session v1\n"
+    "meta 5 20 TeraSort\n"
+    "eval ok 120.5 120.5 0 0 1 2 0.25 0.75\n",
+    "robotune-session v2\n"
+    "meta 5 20 TeraSort\n"
+    "eval 0 ok 120.5 120.5 0 0 1 2 0.25 0.75\n",
+};
+
+TEST(SessionJournalV3Test, LegacyHeaderThrowsInStrictMode) {
+  for (const char* journal : kLegacyJournals) {
+    std::istringstream in(journal);
     SessionCheckpoint s;
-    SessionLoadReport report;
-    EXPECT_EQ(load_session(in, s, mode, &report), 2u);
-    EXPECT_EQ(report.version, 2);
-    EXPECT_FALSE(report.recovered);
-    EXPECT_EQ(s.workload, "TeraSort");
-    EXPECT_TRUE(s.indexed_seeding);
-    EXPECT_EQ(s.selected, (std::vector<std::size_t>{0, 29}));
-    ASSERT_EQ(s.evaluations.size(), 2u);
-    EXPECT_EQ(s.evaluations[1].index, 1u);
-    EXPECT_TRUE(s.evaluations[1].stopped_early);
+    EXPECT_THROW(load_session(in, s, LoadMode::kStrict), InvalidArgument);
   }
 }
 
-TEST(SessionJournalV2Test, LegacyCorruptionThrowsEvenInRecoverMode) {
-  // Unframed journals carry no checksum, so corruption cannot be
-  // reliably detected — recover mode refuses to guess.
-  const std::string v2 =
-      "robotune-session v2\n"
-      "meta 5 20 TeraSort\n"
-      "eval 0 ok 120.5 oops 0 0 1 1 0.25\n";
-  std::istringstream in(v2);
-  SessionCheckpoint s;
-  EXPECT_THROW(load_session(in, s, LoadMode::kRecover), InvalidArgument);
+TEST(SessionJournalV3Test, LegacyHeaderRecoversToVersionZero) {
+  // Version 0 is what recover_fleet quarantines a session on.
+  for (const char* journal : kLegacyJournals) {
+    std::istringstream in(journal);
+    SessionCheckpoint s;
+    SessionLoadReport report;
+    EXPECT_EQ(load_session(in, s, LoadMode::kRecover, &report), 0u);
+    EXPECT_EQ(report.version, 0);
+    EXPECT_TRUE(report.recovered);
+    EXPECT_EQ(report.dropped_records, 3u);
+    EXPECT_TRUE(s.evaluations.empty());
+  }
 }
 
 TEST(CanonicalizeJournalTest, PrunesKillEventsPastTheReplayablePrefix) {
