@@ -16,7 +16,7 @@
 // unbounded queue.
 //
 // Fair scheduling: a turnstile grants `slots` compute slices; running
-// sessions yield at every round boundary (the BoOptions::yield hook) and
+// sessions yield at every round boundary (the Tuner::set_pacing hook) and
 // re-queue FIFO, so CPU rotates round-robin among runnable sessions
 // instead of letting the first admitted session run to completion.
 // The turnstile only re-orders *wall-clock* interleaving; per-session
