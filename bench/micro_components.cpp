@@ -1,10 +1,10 @@
-// google-benchmark microbenchmarks of the core components: simulator
-// evaluation throughput, LHS generation, RF training, GP fit/predict
-// scaling, acquisition optimization, and L-BFGS-B.
+// google-benchmark microbenchmarks of the components bench/perf_hotpath
+// does not cover: simulator evaluation throughput, LHS generation, RF
+// training, single-point GP and RFF prediction, and L-BFGS-B.  GP fit,
+// batch prediction, add/remove, RFF fit and acquisition live in
+// perf_hotpath, which CI gates.
 #include <benchmark/benchmark.h>
 
-#include "core/parameter_selection.h"
-#include "gp/acquisition.h"
 #include "gp/gaussian_process.h"
 #include "gp/rff_gp.h"
 #include "ml/random_forest.h"
@@ -64,71 +64,6 @@ void BM_RandomForestFit(benchmark::State& state) {
 }
 BENCHMARK(BM_RandomForestFit)->Arg(100)->Arg(200);
 
-void BM_GpFit(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(4);
-  std::vector<std::vector<double>> x;
-  std::vector<double> y;
-  for (std::size_t i = 0; i < n; ++i) {
-    std::vector<double> p(8);
-    for (auto& v : p) v = rng.uniform();
-    x.push_back(p);
-    y.push_back(p[0] * p[1] + std::sin(5 * p[2]));
-  }
-  for (auto _ : state) {
-    gp::GaussianProcess model(gp::ard_kernel(8), gp::GpOptions{false}, 1);
-    model.fit(x, y);
-    benchmark::DoNotOptimize(model.log_marginal_likelihood());
-  }
-}
-BENCHMARK(BM_GpFit)->Arg(20)->Arg(50)->Arg(100);
-
-void BM_GpPredict(benchmark::State& state) {
-  Rng rng(5);
-  std::vector<std::vector<double>> x;
-  std::vector<double> y;
-  for (int i = 0; i < 100; ++i) {
-    std::vector<double> p(8);
-    for (auto& v : p) v = rng.uniform();
-    x.push_back(p);
-    y.push_back(p[0]);
-  }
-  gp::GaussianProcess model(gp::ard_kernel(8), gp::GpOptions{false}, 1);
-  model.fit(x, y);
-  std::vector<double> q(8, 0.4);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.predict(q).mean);
-  }
-}
-BENCHMARK(BM_GpPredict);
-
-void BM_GpPredictBatch(benchmark::State& state) {
-  const auto batch = static_cast<std::size_t>(state.range(0));
-  Rng rng(5);
-  std::vector<std::vector<double>> x;
-  std::vector<double> y;
-  for (int i = 0; i < 100; ++i) {
-    std::vector<double> p(8);
-    for (auto& v : p) v = rng.uniform();
-    x.push_back(p);
-    y.push_back(p[0]);
-  }
-  gp::GaussianProcess model(gp::ard_kernel(8), gp::GpOptions{false}, 1);
-  model.fit(x, y);
-  std::vector<std::vector<double>> queries;
-  for (std::size_t i = 0; i < batch; ++i) {
-    std::vector<double> q(8);
-    for (auto& v : q) v = rng.uniform();
-    queries.push_back(q);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.predict_batch(queries).front().mean);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(batch));
-}
-BENCHMARK(BM_GpPredictBatch)->Arg(16)->Arg(64)->Arg(256);
-
 void BM_GpPredictWithGradient(benchmark::State& state) {
   Rng rng(5);
   std::vector<std::vector<double>> x;
@@ -151,54 +86,6 @@ void BM_GpPredictWithGradient(benchmark::State& state) {
 }
 BENCHMARK(BM_GpPredictWithGradient);
 
-// One constant-liar cycle: plant a fantasy with the rank-1 add, purge it
-// with the LIFO remove.  The model is restored bit-identically, so the
-// loop never refits — exactly the q > 1 engine pattern (DESIGN.md §15).
-void BM_GpAddRemovePoint(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(4);
-  std::vector<std::vector<double>> x;
-  std::vector<double> y;
-  for (std::size_t i = 0; i < n; ++i) {
-    std::vector<double> p(8);
-    for (auto& v : p) v = rng.uniform();
-    x.push_back(p);
-    y.push_back(p[0] * p[1] + std::sin(5 * p[2]));
-  }
-  gp::GaussianProcess model(gp::ard_kernel(8), gp::GpOptions{false}, 1);
-  model.fit(x, y);
-  std::vector<double> fantasy(8, 0.37);
-  for (auto _ : state) {
-    model.add_point(fantasy, -1.0);
-    model.remove_point(model.num_points() - 1);
-    benchmark::DoNotOptimize(model.num_points());
-  }
-}
-BENCHMARK(BM_GpAddRemovePoint)->Arg(100)->Arg(200)->Arg(500);
-
-void BM_RffFit(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(4);
-  std::vector<std::vector<double>> x;
-  std::vector<double> y;
-  for (std::size_t i = 0; i < n; ++i) {
-    std::vector<double> p(8);
-    for (auto& v : p) v = rng.uniform();
-    x.push_back(p);
-    y.push_back(p[0] * p[1] + std::sin(5 * p[2]));
-  }
-  gp::MaternHyperparams hypers;
-  hypers.length_scales.assign(8, 0.5);
-  // Fresh model per iteration, like the engine's fit_rff: the timing
-  // includes the (cheap, deterministic) spectral draw.
-  for (auto _ : state) {
-    gp::RffGp model(gp::RffOptions{256, 0x5eed});
-    model.fit(x, y, hypers);
-    benchmark::DoNotOptimize(model.num_points());
-  }
-}
-BENCHMARK(BM_RffFit)->Arg(100)->Arg(500)->Arg(1000);
-
 void BM_RffPredict(benchmark::State& state) {
   Rng rng(5);
   std::vector<std::vector<double>> x;
@@ -219,27 +106,6 @@ void BM_RffPredict(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RffPredict);
-
-void BM_AcquisitionOptimize(benchmark::State& state) {
-  Rng rng(6);
-  std::vector<std::vector<double>> x;
-  std::vector<double> y;
-  for (int i = 0; i < 40; ++i) {
-    std::vector<double> p(6);
-    for (auto& v : p) v = rng.uniform();
-    x.push_back(p);
-    y.push_back(p[0] + p[1] * p[2]);
-  }
-  gp::GaussianProcess model(gp::ard_kernel(6), gp::GpOptions{false}, 1);
-  model.fit(x, y);
-  gp::AcquisitionOptimizerOptions options;
-  options.workers = 1;  // sequential: the multi-start cost without a pool
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(gp::optimize_acquisition(
-        model, gp::AcquisitionKind::kEI, 6, rng, {}, options));
-  }
-}
-BENCHMARK(BM_AcquisitionOptimize);
 
 void BM_LbfgsbRosenbrock(benchmark::State& state) {
   const opt::Objective rosen = [](std::span<const double> x,

@@ -75,9 +75,9 @@ struct CliOptions {
   /// Internal chaos injection profile (preset or per-site rates).
   std::string chaos_profile = "none";
   bool quiet = false;
-  /// Evaluation workers: 0 = no scheduler (legacy sequential seed
-  /// streams); N >= 1 = scheduler mode with N workers (0-cost to results:
-  /// any N gives bit-identical output, including N = 1).
+  /// Evaluation workers: N >= 1 = scheduler mode with N workers (0-cost
+  /// to results: any N gives bit-identical output, including N = 1);
+  /// 0 = no scheduler (robotune still gives the N = 1 output).
   int parallel = 0;
   /// BO batch width q (robotune only; changes the trajectory).
   int batch = 1;
@@ -157,7 +157,9 @@ void usage(const char* argv0) {
       "                              cholesky=F,acq=F,journal=F,pool=F\n"
       "  --parallel N                evaluate batches on N workers; results\n"
       "                              are bit-identical for any N >= 1\n"
-      "                              (default 0 = legacy sequential mode)\n"
+      "                              (default 0 = no scheduler: robotune\n"
+      "                              runs inline with the N = 1 results,\n"
+      "                              baselines use sequential seeds)\n"
       "  --batch q                   BO proposals per round via constant-\n"
       "                              liar fantasies (robotune; default 1)\n"
       "  --racing off|median|halving kill in-flight evaluations whose\n"

@@ -628,11 +628,15 @@ BoResult BoEngine::run(sparksim::SparkObjective& objective,
   require(!(scheduler != nullptr && external != nullptr),
           "BoEngine: scheduler and external bridge are mutually exclusive");
   // Ask/tell mode: a bridge is attached, or the checkpoint was journaled
-  // by an external session (standalone replay needs no bridge).  External
-  // evaluations consume no objective seed draws, so it is always indexed.
+  // by an external session (standalone replay needs no bridge).
   const bool external_mode =
       external != nullptr || (session != nullptr && session->state.external);
-  const bool indexed = scheduler != nullptr || external_mode;
+  // Every internal round runs through a scheduler; without one, a local
+  // one-worker scheduler evaluates inline on this thread.
+  std::optional<exec::EvalScheduler> local_scheduler;
+  if (scheduler == nullptr && !external_mode) {
+    scheduler = &local_scheduler.emplace();
+  }
 
   std::size_t journaled = 0;
   if (session != nullptr) {
@@ -645,20 +649,22 @@ BoResult BoEngine::run(sparksim::SparkObjective& objective,
                              : std::string("off");
     if (journaled > 0 || !session->state.suggests.empty()) {
       // Mode is pinned the moment anything was journaled: an internal
-      // checkpoint must not resume in ask/tell mode (its evaluations
-      // consumed the sequential seed stream) and vice versa.
+      // checkpoint must not resume in ask/tell mode and vice versa.
       require(!(external != nullptr && !session->state.external),
               "BoEngine: checkpoint was journaled by an internal-mode "
               "session; it cannot resume in ask/tell (external) mode");
     }
     if (journaled > 0) {
-      require(session->state.indexed_seeding == indexed,
-              "BoEngine: checkpoint was journaled under a different "
-              "evaluation-seeding mode; resume with the scheduler "
-              "configuration (--parallel) that produced it");
-      // Same precedent as the seeding mode: a journal produced under one
-      // racing policy replays evaluations another policy would have
-      // killed differently — refuse the cross-mode resume.
+      // Evaluations of a sequential-seeding journal drew from the
+      // objective's sequential stream, which no path consumes any more;
+      // continuing it on index-derived streams would silently diverge.
+      require(session->state.indexed_seeding,
+              "BoEngine: checkpoint was journaled under sequential seeding "
+              "(detached mode of an older release); its evaluations cannot "
+              "be continued on index-derived seed streams");
+      // A journal produced under one racing policy replays evaluations
+      // another policy would have killed differently — refuse the
+      // cross-mode resume.
       const std::string journaled_sig = session->state.racing_mode.empty()
                                             ? "off"
                                             : session->state.racing_mode;
@@ -667,7 +673,9 @@ BoResult BoEngine::run(sparksim::SparkObjective& objective,
               "racing configuration; resume with the racing setup "
               "(--racing/--eval-deadline) that produced it");
     } else {
-      session->state.indexed_seeding = indexed;
+      // Nothing was evaluated yet, so an older sequential-seeding
+      // checkpoint can still continue — on index-derived streams.
+      session->state.indexed_seeding = true;
       session->state.racing_mode = racing_sig == "off" ? "" : racing_sig;
     }
     // Never cleared once set: a restored external flag survives even
@@ -716,15 +724,11 @@ BoResult BoEngine::run(sparksim::SparkObjective& objective,
               "BoEngine: journal is not in canonical order");
       ++replay_pos;
       obs::count("bo.journal_replayed");
-      if (!indexed) {
-        objective.skip_seed_draws(
-            static_cast<std::uint64_t>(std::max(1, rec.attempts)));
-      }
       evals.push_back(append(replayed(rec, session->state)));
     }
 
-    // The live remainder: published for an external executor, one
-    // scheduler batch, or inline under the moving guard.
+    // The live remainder: published for an external executor, or one
+    // scheduler batch.
     const std::size_t live_begin = evals.size();
     const std::uint64_t first_live = round.first_index + live_begin;
     if (live_begin < size && external_mode) {
@@ -746,7 +750,7 @@ BoResult BoEngine::run(sparksim::SparkObjective& objective,
       for (std::size_t i = live_begin; i < size; ++i) {
         const auto& e = append(funnel_external(
             round.points[i], reported[i - live_begin], round.threshold));
-        // Journaled post-funnel, like the inline path.
+        // Journaled post-funnel.
         if (session != nullptr) {
           session->state.evaluations.push_back(
               record_of(e, round.first_index + i));
@@ -763,7 +767,7 @@ BoResult BoEngine::run(sparksim::SparkObjective& objective,
                       });
         flush(resolved_end - 1);
       }
-    } else if (live_begin < size && scheduler != nullptr) {
+    } else if (live_begin < size) {
       std::vector<exec::EvalRequest> requests;
       requests.reserve(size - live_begin);
       for (std::size_t i = live_begin; i < size; ++i) {
@@ -787,24 +791,6 @@ BoResult BoEngine::run(sparksim::SparkObjective& objective,
       for (std::size_t i = live_begin; i < size; ++i) {
         evals.push_back(
             tuners::to_evaluation(round.points[i], outcomes[i - live_begin]));
-      }
-    } else {
-      for (std::size_t i = live_begin; i < size; ++i) {
-        const std::uint64_t index = round.first_index + i;
-        {
-          obs::Span span("eval", "bo");
-          span.arg("eval_index", index);
-          evals.push_back(append(tuners::to_evaluation(
-              round.points[i],
-              objective.evaluate(round.points[i], guard_.current()))));
-          span.arg("status", sparksim::to_string(evals.back().status));
-          span.arg("value_s", evals.back().value_s);
-        }
-        if (session != nullptr) {
-          session->state.evaluations.push_back(
-              record_of(evals.back(), index));
-          flush(index);
-        }
       }
     }
     tell(evals);

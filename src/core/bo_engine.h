@@ -17,9 +17,10 @@
 //
 // run() is the one driver over those steps.  Per round it paces
 // (Tuner::set_pacing's cancel/yield), proposes, replays the journaled
-// prefix of the round, evaluates the live remainder — inline, through
-// an EvalScheduler, or through an ExternalBridge — journaling as each
-// mode always has, and tells.
+// prefix of the round, evaluates the live remainder — as one
+// EvalScheduler batch (a local one-worker scheduler when none is given)
+// or through an ExternalBridge — journaling as each mode always has, and
+// tells.
 #pragma once
 
 #include <algorithm>
@@ -133,18 +134,18 @@ using BoObserver = std::function<void(const BoObserverInfo&)>;
 /// Checkpoint/resume journal for a BO session.
 ///
 /// BoEngine::run appends one EvalRecord per completed evaluation to
-/// `state.evaluations` and calls `flush` after each one (inline and
-/// scheduler modes) or once per resolved round (ask/tell mode, whose
-/// observations are journaled as acks when they arrive), so a kill -9
-/// loses at most the evaluations in flight.  On resume, pass the loaded
-/// checkpoint back in: the engine proposes exactly as before, and each
-/// round's journaled prefix is told instead of run — fast-forwarding the
-/// objective's sequential seed stream by each record's attempts in
-/// detached mode — so the continuation is bit-identical to a
-/// never-interrupted run.  Parallel sessions journal in completion order;
-/// the driver canonicalizes the journal (sort by eval index, truncate at
-/// the first gap) before replaying.  A checkpoint resumes only under the
-/// seeding mode that produced it.
+/// `state.evaluations` and calls `flush` after each one (scheduler
+/// rounds) or once per resolved round (ask/tell mode, whose observations
+/// are journaled as acks when they arrive), so a kill -9 loses at most
+/// the evaluations in flight.  On resume, pass the loaded checkpoint back
+/// in: the engine proposes exactly as before, and each round's journaled
+/// prefix is told instead of run; live evaluations run on index-derived
+/// seed streams, so the continuation is bit-identical to a
+/// never-interrupted run at any worker count.  Parallel sessions journal
+/// in completion order; the driver canonicalizes the journal (sort by
+/// eval index, truncate at the first gap) before replaying.  A journal
+/// of an older release's sequential-seeding mode (`seeding sequential`)
+/// that holds evaluations is refused.
 struct SessionLog {
   SessionCheckpoint state;
   std::function<void(const SessionCheckpoint&)> flush;
@@ -165,8 +166,7 @@ struct BoResult {
 struct BoRound {
   /// Canonical eval index of points[0]; points[i] is eval first_index + i.
   std::uint64_t first_index = 0;
-  /// Guard threshold at proposal.  Batches (scheduler, ask/tell) run every
-  /// point under it; run()'s inline path updates it point by point.
+  /// Guard threshold at proposal; every point of the round runs under it.
   double threshold = 0.0;
   /// Full-space unit vectors to evaluate, in point order.
   std::vector<std::vector<double>> points;
@@ -192,7 +192,7 @@ class BoEngine {
 
   /// Takes the proposed round's evaluations in point order, as
   /// tuners::to_evaluation makes them.  Ones run() booked while streaming
-  /// the round (replayed, inline, ask/tell) are not booked twice.
+  /// the round (replayed, ask/tell) are not booked twice.
   void tell(const std::vector<tuners::Evaluation>& evals);
 
   /// Everything told so far; hedge_gains are current.
@@ -200,14 +200,14 @@ class BoEngine {
 
   /// Runs Algorithm 1 (batched when options.batch_size > 1) as one
   /// propose/evaluate/tell loop.  `memoized` seeds the initial set.
-  /// `session` journals and replays (see SessionLog).  `scheduler` runs
-  /// each round as one batch with index-derived seed streams: bit-identical
-  /// for any parallelism, but different from detached runs, which consume
-  /// the objective's sequential stream.  `external` (ask/tell mode,
-  /// DESIGN.md §16; exclusive with `scheduler`) publishes each round
-  /// through the bridge and blocks for the observations; such sessions
-  /// always journal indexed seeding, and their checkpoints replay
-  /// standalone but need a bridge for live rounds.  `paced_stop` runs
+  /// `session` journals and replays (see SessionLog).  Each round runs as
+  /// one `scheduler` batch with index-derived seed streams, bit-identical
+  /// for any parallelism; without a scheduler (and without a bridge) a
+  /// local one-worker scheduler runs it inline, with the same results as
+  /// parallelism 1.  `external` (ask/tell mode, DESIGN.md §16; exclusive
+  /// with `scheduler`) publishes each round through the bridge and blocks
+  /// for the observations; its checkpoints replay standalone but need a
+  /// bridge for live rounds.  `paced_stop` runs
   /// before every round: it may block (the service turnstile) and returns
   /// true to cancel there, with BoResult::interrupted set.
   BoResult run(sparksim::SparkObjective& objective,

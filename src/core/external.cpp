@@ -7,19 +7,11 @@
 
 namespace robotune::core {
 
-namespace {
-
 bool same_observation(const ExternalObservation& a,
                       const ExternalObservation& b) {
-  // Exact equality on purpose: the journal round-trips doubles through
-  // %.17g losslessly, so a faithful client retry compares equal even
-  // across a daemon restart, while any re-measured (different) value is
-  // a conflict the client must see.
   return a.value_s == b.value_s && a.cost_s == b.cost_s &&
          a.status == b.status;
 }
-
-}  // namespace
 
 const char* to_string(TellVerdict verdict) noexcept {
   switch (verdict) {

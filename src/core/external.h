@@ -53,6 +53,14 @@ struct ExternalObservation {
   sparksim::RunStatus status = sparksim::RunStatus::kOk;
 };
 
+/// True when two observations are the same tuple.  Exact equality on
+/// purpose: the journal and the wire round-trip doubles through %.17g
+/// losslessly, so a faithful client retry compares equal even across a
+/// daemon restart, while any re-measured (different) value is a
+/// conflict the client must see.
+bool same_observation(const ExternalObservation& a,
+                      const ExternalObservation& b);
+
 /// One leased suggestion handed to an external executor.
 struct LeaseGrant {
   std::uint64_t index = 0;     ///< canonical eval index
@@ -67,8 +75,7 @@ struct LeaseGrant {
 /// failures carry the same penalty/censoring split as sparksim's
 /// objective, and non-finite values fall through to append_evaluation's
 /// quarantine.  External executors report one measurement per
-/// suggestion, so attempts is always 1 (no seed draws to fast-forward on
-/// resume).
+/// suggestion, so attempts is always 1.
 tuners::Evaluation funnel_external(const std::vector<double>& unit,
                                    const ExternalObservation& o,
                                    double threshold);

@@ -41,6 +41,13 @@
 //   observe_ack <index> <status> <value_s> <cost_s>
 //   lease_expired <index> <lease>
 //
+// `seeding` is `indexed` in every journal this release writes (each
+// evaluation's stream derives from the session seed and its index);
+// `sequential` survives only in older detached-mode journals, which
+// resume refuses once they hold an evaluation.  `selection-draws`
+// (sequential-stream draws parameter selection consumed) is
+// informational; resume reads it but replays nothing from it.
+//
 // `racing` (emitted only when a racing policy was active — racing-off
 // journals stay byte-identical to pre-racing releases) pins the racing
 // signature so resume can refuse a cross-mode restart; `kill` records a
@@ -95,9 +102,7 @@ struct EvalRecord {
   sparksim::RunStatus status = sparksim::RunStatus::kOk;
   bool stopped_early = false;
   bool transient = false;
-  /// Simulator attempts (= objective seed draws) the evaluation consumed;
-  /// sequential-seeding resume fast-forwards the seed stream by this much
-  /// per record (indexed-seeding sessions skip indices instead).
+  /// Simulator attempts (= seed draws) the evaluation consumed.
   int attempts = 1;
 };
 
@@ -166,19 +171,21 @@ struct SessionCheckpoint {
   std::string workload;           ///< cache key (workload kind)
   std::vector<std::size_t> selected;  ///< tuned parameter indices
   /// Objective seed draws consumed by parameter selection before the BO
-  /// session started (0 on a selection-cache hit).
+  /// session started (0 on a selection-cache hit).  Informational: BO
+  /// evaluations run on index-derived streams, so resume never replays it.
   std::uint64_t selection_seed_draws = 0;
   double selection_cost_s = 0.0;
   /// Memoized configurations blended into the initial design; recorded so
   /// the resumed engine regenerates the same initial sample plan.
   std::vector<MemoizedConfig> memoized;
-  /// Evaluation seed-stream mode of the session.  false: evaluations
-  /// consumed the objective's sequential stream (detached mode); true:
-  /// each evaluation's stream was derived from (seed, eval_index)
-  /// (scheduler mode, any --parallel value).  A checkpoint only resumes
-  /// under the same mode — the continuation would silently diverge
-  /// otherwise.
-  bool indexed_seeding = false;
+  /// Evaluation seed-stream mode of the session.  true: each
+  /// evaluation's stream was derived from (seed, eval_index) — every
+  /// session this release writes.  false (`seeding sequential`): the
+  /// evaluations consumed the objective's sequential stream, as the
+  /// detached mode of older releases did; such a checkpoint holding
+  /// evaluations is refused on resume, since its continuation would
+  /// silently diverge.
+  bool indexed_seeding = true;
   /// Racing signature the session ran under (exec::racing_signature).
   /// Empty means racing off; the `racing` record is only emitted when
   /// non-empty and not "off", so racing-off journals are byte-identical
@@ -186,9 +193,7 @@ struct SessionCheckpoint {
   std::string racing_mode;
   /// True for ask/tell (`mode=external`) sessions: evaluations arrive
   /// from an external executor via suggest/observe instead of the
-  /// simulator.  External sessions always use indexed seeding (external
-  /// evaluations consume no objective seed draws).  A checkpoint only
-  /// resumes under the same mode.
+  /// simulator.  A checkpoint only resumes under the same mode.
   bool external = false;
   std::vector<EvalRecord> evaluations;  ///< completed-evaluation journal
   /// Pending (proposed, not yet resolved) suggestions of an external

@@ -36,8 +36,9 @@ RoboTuneReport RoboTune::tune_report(sparksim::SparkObjective& objective,
   session_span.arg("seed", seed);
 
   // A loaded checkpoint (non-empty selection) resumes: selection and the
-  // memoized-config snapshot come from the checkpoint, and the objective's
-  // seed stream is fast-forwarded past what selection consumed originally.
+  // memoized-config snapshot come from the checkpoint.  BO evaluations run
+  // on index-derived seed streams, so the objective's sequential stream
+  // (which selection consumed) needs no fast-forward.
   const bool resuming = session != nullptr && !session->state.selected.empty();
   if (resuming) {
     require(session->state.seed == seed,
@@ -56,7 +57,6 @@ RoboTuneReport RoboTune::tune_report(sparksim::SparkObjective& objective,
   if (resuming) {
     report.selected = session->state.selected;
     report.selection_cost_s = session->state.selection_cost_s;
-    objective.skip_seed_draws(session->state.selection_seed_draws);
     selection_cache_.store(workload_key, report.selected);
   } else if (auto cached = selection_cache_.lookup(workload_key)) {
     obs::count("memo.selection_cache.hits");
@@ -108,12 +108,7 @@ RoboTuneReport RoboTune::tune_report(sparksim::SparkObjective& objective,
     session->state.selected = report.selected;
     session->state.selection_cost_s = report.selection_cost_s;
     session->state.memoized = memoized;
-    // Record the seeding mode with the very first flush, so resuming an
-    // early checkpoint under the wrong --parallel mode is refused rather
-    // than silently diverging.  Ask/tell sessions are always indexed
-    // (external evaluations consume no objective seed draws) and pin
-    // their mode the same way.
-    session->state.indexed_seeding = scheduler != nullptr || external != nullptr;
+    // Ask/tell sessions pin their mode with the very first flush.
     session->state.external = external != nullptr;
     if (session->flush) session->flush(session->state);
   }

@@ -69,9 +69,10 @@ class RoboTune : public tuners::Tuner {
   /// checkpoint's seed/budget/workload must match).
   ///
   /// `scheduler`, when given, runs the BO evaluation batches concurrently
-  /// with index-derived seed streams (see BoEngine::run); parameter
-  /// selection itself stays sequential.  A checkpoint resumes only under
-  /// the seeding mode (scheduler vs detached) that produced it.
+  /// (see BoEngine::run); without one, the rounds run inline on a local
+  /// one-worker scheduler with the same results.  Either way evaluations
+  /// use index-derived seed streams; parameter selection itself stays
+  /// sequential, on the objective's own stream.
   ///
   /// `external`, when given, runs the BO search in ask/tell mode: the
   /// engine publishes each batch through the bridge and blocks for

@@ -380,6 +380,20 @@ bool Session::load_state(const std::string& path) {
                          robotune_->memo_buffer());
 }
 
+SessionProgress progress_of(const SessionCheckpoint& state) {
+  SessionProgress p;
+  p.evaluations = state.evaluations.size();
+  p.best_value_s = std::numeric_limits<double>::infinity();
+  for (const auto& e : state.evaluations) {
+    if (e.status != sparksim::RunStatus::kOk) continue;
+    if (e.value_s < p.best_value_s) {
+      p.best_value_s = e.value_s;
+      p.best_unit = e.unit;
+    }
+  }
+  return p;
+}
+
 bool Session::save_state(const std::string& path) {
   if (robotune_ == nullptr) return false;
   return save_state_file(robotune_->selection_cache(),
@@ -419,23 +433,6 @@ SessionOutcome Session::run(
 
   tuner_->set_pacing(cancel, std::move(yield));
 
-  // Incumbent-best extraction for the progress hook: successful
-  // observations only (failed/penalized values are not a configuration
-  // anyone should be handed as "current best").
-  const auto best_of = [](const SessionCheckpoint& state) {
-    SessionProgress p;
-    p.evaluations = state.evaluations.size();
-    p.best_value_s = std::numeric_limits<double>::infinity();
-    for (const auto& e : state.evaluations) {
-      if (e.status != sparksim::RunStatus::kOk) continue;
-      if (e.value_s < p.best_value_s) {
-        p.best_value_s = e.value_s;
-        p.best_unit = e.unit;
-      }
-    }
-    return p;
-  };
-
   if (robotune_ != nullptr) {
     SessionLog session;
     SessionLog* session_ptr = nullptr;
@@ -463,11 +460,11 @@ SessionOutcome Session::run(
       }
       const std::string path = spec_.checkpoint_path;
       const auto sync = spec_.sync;
-      session.flush = [path, sync, progress, &best_of,
+      session.flush = [path, sync, progress,
                        &flushed_degrades](const SessionCheckpoint& state) {
         write_checkpoint(state, path, sync);
         flushed_degrades = state.degrade_events.size();
-        if (progress) progress(best_of(state));
+        if (progress) progress(progress_of(state));
       };
       session_ptr = &session;
     }

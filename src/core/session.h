@@ -52,8 +52,9 @@ struct SessionSpec {
   std::string fault_profile = "none";
   int retries = 2;
   double preempt_rate = 0.0;
-  /// Evaluation workers: 0 = detached sequential seed streams; N >= 1 =
-  /// scheduler mode (bit-identical results for any N).
+  /// Evaluation workers: N >= 1 = scheduler mode (bit-identical results
+  /// for any N); 0 = no scheduler: robotune runs inline with the results
+  /// of N = 1, the baseline tuners on the objective's sequential stream.
   int parallel = 0;
   int batch = 1;              ///< BO batch width q (robotune only)
   std::string racing = "off";  ///< off|median|halving (needs parallel >= 1)
@@ -75,8 +76,8 @@ struct SessionSpec {
   /// Session mode: "internal" runs evaluations against the sparksim
   /// objective (everything before DESIGN.md §16); "external" is
   /// ask/tell — the session proposes configurations and blocks until an
-  /// external executor observes them back (robotune only, detached
-  /// scheduler, no racing).  Serialized only when external, so internal
+  /// external executor observes them back (robotune only, parallel 0,
+  /// no racing).  Serialized only when external, so internal
   /// spec files stay byte-identical and pre-external daemons reject
   /// external specs cleanly via the unknown-key rule.
   std::string mode = "internal";
@@ -120,6 +121,11 @@ struct SessionProgress {
   std::vector<double> best_unit;  ///< incumbent configuration (may be empty)
 };
 
+/// The progress a journal shows: its evaluation count and the incumbent
+/// among successful observations (failed/penalized values are not a
+/// configuration anyone should be handed as "current best").
+SessionProgress progress_of(const SessionCheckpoint& state);
+
 struct SessionOutcome {
   tuners::TuningResult result;
   /// robotune only: selection + memoization details, BoResult.
@@ -161,8 +167,8 @@ class Session {
   /// When the session journals (spec.checkpoint_path non-empty) and ran
   /// with batch parallelism, the journal is re-flushed in canonical
   /// (eval-index) order on completion, so the final bytes are identical
-  /// for any worker count; sequential sessions are already canonical and
-  /// their journal bytes are never rewritten.
+  /// for any worker count; one-worker sessions are already canonical and
+  /// their journal bytes are rewritten only for trailing degrade records.
   SessionOutcome run(
       const std::atomic<bool>* cancel = nullptr,
       std::function<void()> yield = nullptr,

@@ -38,12 +38,14 @@
 //     admission.reject   admission.backpressure  recovery.failed
 //     client.connect     client.disconnect       protocol.corrupt
 //     rpc.error          daemon.start            daemon.stop
-//     lease.expired      client.idle_drop
+//     lease.expired      client.idle_drop        cancel.tombstone_failed
 //   (lease.expired carries "eval <i> lease <l>" detail; it is runtime
 //   because reaper ticks race external tells, but the *journal v3*
 //   lease_expired record it mirrors is part of the session's durable
 //   state — see DESIGN.md §16.  client.idle_drop is the serve loop
-//   shedding a connection that never completed a frame.)
+//   shedding a connection that never completed a frame.
+//   cancel.tombstone_failed carries the tombstone path: the cancel took
+//   effect, but a restarted daemon would resume the session.)
 //
 // logical_event_projection() extracts exactly the logical class,
 // grouped by session id with global sequence numbers and timestamps

@@ -44,21 +44,6 @@ void sync_path(const std::string& path) {
   ::close(fd);
 }
 
-core::SessionProgress progress_from_journal(
-    const core::SessionCheckpoint& state) {
-  core::SessionProgress p;
-  p.evaluations = state.evaluations.size();
-  p.best_value_s = std::numeric_limits<double>::infinity();
-  for (const auto& e : state.evaluations) {
-    if (e.status != sparksim::RunStatus::kOk) continue;
-    if (e.value_s < p.best_value_s) {
-      p.best_value_s = e.value_s;
-      p.best_unit = e.unit;
-    }
-  }
-  return p;
-}
-
 }  // namespace
 
 const char* to_string(SessionState state) noexcept {
@@ -402,9 +387,14 @@ bool SessionManager::cancel(std::uint64_t id, std::string* error) {
   // cancelled instead of resuming it (graceful shutdown, by contrast,
   // leaves no tombstone — its sessions resume).  Written outside the
   // manager lock: tombstone creation is idempotent and nothing else
-  // races it, so the fleet need not stall behind this disk write.
+  // races it, so the fleet need not stall behind this disk write.  A
+  // tombstone that cannot be written surfaces: a restart would resume
+  // the session the client cancelled.
   std::FILE* f = std::fopen(tombstone_path(id).c_str(), "w");
-  if (f != nullptr) std::fclose(f);
+  if (f == nullptr || std::fclose(f) != 0) {
+    obs::count("service.cancel.tombstone_failures");
+    events_.emit(id, "cancel.tombstone_failed", tombstone_path(id));
+  }
   events_.emit(id, "cancel.requested");
   return true;
 }
@@ -569,7 +559,7 @@ std::shared_ptr<SessionManager::Entry> SessionManager::find_or_rehydrate(
   entry->spec.checkpoint_path = journal_path(id);
   entry->spec.sync = options_.sync;
   entry->state = evicted_state;
-  entry->progress = progress_from_journal(state);
+  entry->progress = core::progress_of(state);
   entry->terminal_tick = now_tick_.load(std::memory_order_relaxed);
   {
     std::scoped_lock lock(mutex_);
@@ -669,18 +659,6 @@ SessionManager::ObserveResult SessionManager::observe(
   return result;
 }
 
-namespace {
-
-/// Same exactness as the bridge's idempotency check: %.17g round-trips
-/// doubles losslessly over the wire, so exact equality is well-defined.
-bool same_tuple(const core::ExternalObservation& a,
-                const core::ExternalObservation& b) {
-  return a.value_s == b.value_s && a.cost_s == b.cost_s &&
-         a.status == b.status;
-}
-
-}  // namespace
-
 SessionManager::AskResult SessionManager::ask(std::uint64_t id,
                                               std::size_t max_count) {
   AskResult result;
@@ -758,7 +736,7 @@ SessionManager::TellResult SessionManager::tell(
     for (const auto& ack : state.observe_acks) {
       if (ack.index != index) continue;
       verdict.recorded = {ack.value_s, ack.cost_s, ack.status};
-      verdict.verdict = same_tuple(verdict.recorded, observation)
+      verdict.verdict = core::same_observation(verdict.recorded, observation)
                             ? core::TellVerdict::kDuplicate
                             : core::TellVerdict::kConflict;
       break;
@@ -914,7 +892,7 @@ FleetRecovery SessionManager::recover_fleet() {
       entry->state =
           tombstoned ? SessionState::kCancelled : SessionState::kDone;
       entry->terminal_tick = now_tick_.load(std::memory_order_relaxed);
-      entry->progress = progress_from_journal(state);
+      entry->progress = core::progress_of(state);
       {
         std::scoped_lock lock(mutex_);
         sessions_[id] = entry;

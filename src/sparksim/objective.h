@@ -76,7 +76,7 @@ struct EvalOutcome {
   /// True when the guard threshold killed the run.
   bool stopped_early = false;
   /// Simulator runs performed (1 + retries); equals the seed draws the
-  /// evaluation consumed, which checkpoint/resume replays.
+  /// evaluation consumed.
   int attempts = 1;
   /// True when the final status is a transient fault that exhausted its
   /// retries — the value is censored at the threshold, not penalized.
@@ -133,15 +133,9 @@ class SparkObjective {
   std::size_t evaluations() const noexcept { return evaluations_; }
   double total_cost_s() const noexcept { return total_cost_s_; }
 
-  /// Per-run seeds drawn so far (one per simulator attempt).  Checkpoints
-  /// record this so a resumed session can fast-forward to the same point
-  /// in the seed stream.
+  /// Per-run seeds drawn from the sequential stream so far (one per
+  /// simulator attempt; forks draw from their own streams).
   std::uint64_t seed_draws() const noexcept { return seed_draws_; }
-  /// Advances the seed stream by `n` draws without running anything —
-  /// used when replaying checkpointed evaluations on resume.
-  void skip_seed_draws(std::uint64_t n) {
-    for (std::uint64_t i = 0; i < n; ++i) next_run_seed();
-  }
 
   /// Rewinds the objective to its just-constructed state: evaluation and
   /// cost counters AND the internal per-run seed stream.  A reset
@@ -175,8 +169,8 @@ class SparkObjective {
   /// completes, so evaluations()/total_cost_s() are deterministic even
   /// though the forks ran concurrently.  The sequential seed stream and
   /// seed_draws() are untouched: forks never consume it (their streams
-  /// are index-derived), and checkpoint resume of scheduler sessions
-  /// skips eval *indices*, not seed draws.
+  /// are index-derived), and checkpoint resume skips eval *indices*, not
+  /// seed draws.
   void merge_fork(const SparkObjective& fork) {
     evaluations_ += fork.evaluations_;
     total_cost_s_ += fork.total_cost_s_;

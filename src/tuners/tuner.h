@@ -109,9 +109,12 @@ class Tuner {
   /// dispatch whole rounds (GA generations, DDS sample sets, BO batches)
   /// through it, with evaluation seeds derived per eval index so results
   /// are bit-identical for any scheduler parallelism (see
-  /// exec/eval_scheduler.h).  Scheduler-mode trajectories differ from
-  /// detached-mode ones — the seed streams and per-round guard semantics
-  /// differ — so compare like with like.  Detach with nullptr.
+  /// exec/eval_scheduler.h).  For the baseline tuners, scheduler-mode
+  /// trajectories differ from detached-mode ones — the seed streams and
+  /// per-round guard semantics differ — so compare like with like.
+  /// ROBOTune evaluates through a scheduler either way (a local
+  /// one-worker one when detached), so its results do not depend on
+  /// this.  Detach with nullptr.
   void set_scheduler(exec::EvalScheduler* scheduler) noexcept {
     scheduler_ = scheduler;
   }

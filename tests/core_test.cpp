@@ -363,10 +363,14 @@ TEST(BoEngineTest, ProposeTellByHandMatchesRun) {
   while (const auto round = engine.propose()) {
     EXPECT_EQ(round->first_index, engine.result().tuning.history.size());
     EXPECT_EQ(round->initial, rounds < 10);
+    // run() evaluates each point on the fork of its eval index.
     std::vector<tuners::Evaluation> evals;
-    for (const auto& point : round->points) {
+    for (std::size_t i = 0; i < round->points.size(); ++i) {
+      const auto& point = round->points[i];
+      auto fork = objective.fork_for_eval(round->first_index + i);
       evals.push_back(tuners::to_evaluation(
-          point, objective.evaluate(point, round->threshold)));
+          point, fork.evaluate(point, round->threshold)));
+      objective.merge_fork(fork);
     }
     engine.tell(evals);
     ++rounds;

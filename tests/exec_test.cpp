@@ -73,8 +73,10 @@ TEST(ForkForEvalTest, SameIndexSameOutcome) {
 TEST(ForkForEvalTest, IndependentOfSequentialStreamPosition) {
   auto fresh = make_objective(99);
   auto advanced = make_objective(99);
-  advanced.skip_seed_draws(40);  // sequential stream far ahead
   const auto units = make_units(1, fresh.space().size(), 6);
+  // Run the sequential stream far ahead.
+  for (int i = 0; i < 40; ++i) advanced.evaluate(units[0]);
+  ASSERT_GE(advanced.seed_draws(), 40u);
   const auto a = fresh.fork_for_eval(3).evaluate(units[0]);
   const auto b = advanced.fork_for_eval(3).evaluate(units[0]);
   EXPECT_EQ(a.value_s, b.value_s);

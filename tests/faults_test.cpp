@@ -482,23 +482,6 @@ TEST(ObjectiveFaultsTest, ResetCountersRestoresTheSeedStream) {
   EXPECT_EQ(objective.seed_draws(), draws);
 }
 
-TEST(ObjectiveFaultsTest, SkipSeedDrawsFastForwardsExactly) {
-  const auto units = random_units(2, 777);
-  auto live = make_faulty_objective(FaultProfile::uniform(0.25), 2);
-  const auto first = live.evaluate(units[0]);
-  const auto second = live.evaluate(units[1]);
-
-  // A resumed objective replays the first evaluation as a skip and must
-  // land on the identical second outcome.
-  auto resumed = make_faulty_objective(FaultProfile::uniform(0.25), 2);
-  resumed.skip_seed_draws(static_cast<std::uint64_t>(first.attempts));
-  const auto replayed = resumed.evaluate(units[1]);
-  EXPECT_EQ(replayed.value_s, second.value_s);
-  EXPECT_EQ(replayed.cost_s, second.cost_s);
-  EXPECT_EQ(replayed.status, second.status);
-  EXPECT_EQ(replayed.attempts, second.attempts);
-}
-
 TEST(ObjectiveFaultsTest, PreemptionsRetryAndCensorLikeOtherTransients) {
   FaultProfile p;
   p.preemption_per_stage = 0.6;  // fatal double-preemptions are common

@@ -3,8 +3,9 @@
 // The final checkpoint a session leaves behind is the strongest summary
 // of everything the engine did: every proposal, guard decision, degrade
 // rung and replayed outcome lands in it.  These tests pin the crc32 and
-// length of final journals for the three evaluation paths (detached,
-// scheduler, ask/tell), and check that resuming from a journal cut at
+// length of final journals for both evaluation paths (scheduler
+// rounds — detached sessions run them on a local one-worker scheduler —
+// and ask/tell), and check that resuming from a journal cut at
 // any point — inside the initial design, mid-round, in the BO phase —
 // rewrites the uninterrupted journal byte for byte.
 #include <gtest/gtest.h>
@@ -104,10 +105,12 @@ core::SessionSpec pr_d1(std::uint64_t seed, int budget,
 
 // ---- pins -----------------------------------------------------------------
 
+// Detached sessions (parallel 0) run their rounds on a local one-worker
+// scheduler, so they write the bytes of parallel 1.
 TEST(JournalPinTest, DetachedSessionsKeepTheirBytes) {
   TempDir dir("detached");
   const Pin pins[] = {
-      {0xa3e427cbu, 25624}, {0x4ba6b59au, 25440}, {0x91c76a2cu, 24578}};
+      {0x5e7b8ae9u, 25777}, {0xd333d656u, 25383}, {0x5f934feeu, 24615}};
   for (std::uint64_t seed : {1u, 2u, 3u}) {
     const auto journal =
         run_session(pr_d1(seed, 40, dir.file("s" + std::to_string(seed))));
@@ -119,7 +122,7 @@ TEST(JournalPinTest, DetachedSessionsKeepTheirBytes) {
 TEST(JournalPinTest, SchedulerSessionsKeepTheirBytesAtAnyWorkerCount) {
   TempDir dir("scheduler");
   const Pin pin{0x18b4ec0cu, 25583};
-  for (int parallel : {1, 4}) {
+  for (int parallel : {0, 1, 4}) {  // 0 = detached
     auto spec = pr_d1(1, 40, dir.file("p" + std::to_string(parallel)));
     spec.parallel = parallel;
     spec.batch = 4;

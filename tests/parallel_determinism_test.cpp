@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -195,36 +197,84 @@ TEST(ParallelDeterminismTest, JournalWithHoleReplaysLongestPrefix) {
   expect_results_equal(uninterrupted.tuning, continued.tuning);
 }
 
-TEST(ParallelDeterminismTest, CrossModeResumeIsRefused) {
-  // Journal written by a scheduler (indexed) session...
-  core::SessionLog indexed;
-  run_session(&indexed, 2, false);
-  {
-    core::SessionLog resumed;
-    resumed.state = indexed.state;
-    resumed.state.evaluations.resize(8);
-    auto objective = make_objective(false);
-    core::RoboTune tuner(fast_robotune());
-    // ...must not resume detached (sequential seed streams).
-    EXPECT_THROW(
-        tuner.tune_report(objective, kBudget, kSeed, nullptr, &resumed),
-        InvalidArgument);
-  }
+core::RoboTuneReport run_detached(core::SessionLog* session,
+                                  int batch_size = 2) {
+  auto objective = make_objective(false);
+  core::RoboTune tuner(fast_robotune(batch_size));
+  return tuner.tune_report(objective, kBudget, kSeed, nullptr, session);
+}
 
-  // And a detached journal must not resume under a scheduler.
-  core::SessionLog sequential;
+TEST(ParallelDeterminismTest, DetachedAndSchedulerJournalsResumeEachOther) {
+  // A detached session runs its rounds on a local one-worker scheduler,
+  // so its journal is the scheduler's and resumes under any worker
+  // count — and the other way round.
+  core::SessionLog detached;
+  const auto uninterrupted_detached = run_detached(&detached);
+  EXPECT_TRUE(detached.state.indexed_seeding);
+  core::SessionLog scheduled;
+  const auto uninterrupted_scheduled = run_session(&scheduled, 4, false);
+  expect_results_equal(uninterrupted_detached.tuning,
+                       uninterrupted_scheduled.tuning);
   {
-    auto objective = make_objective(false);
-    core::RoboTune tuner(fast_robotune());
-    tuner.tune_report(objective, kBudget, kSeed, nullptr, &sequential);
-    EXPECT_FALSE(sequential.state.indexed_seeding);
+    core::SessionLog resumed;
+    resumed.state = detached.state;
+    resumed.state.evaluations.resize(8);
+    const auto continued = run_session(&resumed, 4, false);
+    SCOPED_TRACE("detached journal, 4-worker resume");
+    expect_results_equal(uninterrupted_detached.tuning, continued.tuning);
   }
   {
     core::SessionLog resumed;
-    resumed.state = sequential.state;
+    resumed.state = scheduled.state;
     resumed.state.evaluations.resize(8);
-    EXPECT_THROW(run_session(&resumed, 2, false), InvalidArgument);
+    const auto continued = run_detached(&resumed);
+    SCOPED_TRACE("4-worker journal, detached resume");
+    expect_results_equal(uninterrupted_scheduled.tuning, continued.tuning);
   }
+}
+
+TEST(ParallelDeterminismTest, SequentialSeedingJournalIsRefused) {
+  // Older releases ran detached sessions on the objective's sequential
+  // seed stream and journaled `seeding sequential`.  Their evaluations
+  // cannot be continued on index-derived streams.
+  const std::string path = "/tmp/robotune_sequential_seeding.journal";
+  core::SessionLog full;
+  run_detached(&full);
+  core::SessionCheckpoint legacy = full.state;
+  legacy.indexed_seeding = false;
+  legacy.evaluations.resize(8);
+  ASSERT_TRUE(core::save_session_file(legacy, path));
+  {
+    std::ifstream in(path);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    ASSERT_NE(text.find("seeding sequential"), std::string::npos);
+  }
+  core::SessionLog resumed;
+  ASSERT_TRUE(core::load_session_file(path, resumed.state));
+  EXPECT_FALSE(resumed.state.indexed_seeding);
+  for (const bool detached : {true, false}) {
+    core::SessionLog attempt;
+    attempt.state = resumed.state;
+    try {
+      detached ? run_detached(&attempt) : run_session(&attempt, 2, false);
+      ADD_FAILURE() << "sequential-seeding journal resumed (detached="
+                    << detached << ")";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("sequential seeding"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // Before its first evaluation such a checkpoint still continues, and
+  // from then on journals indexed seeding.
+  core::SessionLog early;
+  early.state = resumed.state;
+  early.state.evaluations.clear();
+  const auto continued = run_detached(&early);
+  EXPECT_TRUE(early.state.indexed_seeding);
+  expect_results_equal(run_detached(nullptr).tuning, continued.tuning);
+  std::remove(path.c_str());
 }
 
 TEST(ParallelDeterminismTest, SchedulerJournalRoundTripsThroughDisk) {

@@ -28,7 +28,9 @@
 
 #include "core/persistence.h"
 #include "core/session.h"
+#include "obs/metrics.h"
 #include "service/client.h"
+#include "service/events.h"
 #include "service/protocol.h"
 #include "service/server.h"
 #include "service/session_manager.h"
@@ -420,6 +422,47 @@ TEST(ServiceCancelTest, CancelStopsAtRoundBoundaryWithResumableJournal) {
   // Cancelling a terminal session reports why instead of succeeding.
   EXPECT_FALSE(manager.cancel(started.id, &why));
   EXPECT_NE(why.find("cancelled"), std::string::npos) << why;
+}
+
+TEST(ServiceCancelTest, FailedTombstoneIsCountedAndEmitted) {
+  TempDir dir("tombstone");
+  service::ServiceOptions options;
+  options.root = dir.path();
+  options.max_live = 1;
+  options.events_path = dir.file("events.jsonl");
+  service::SessionManager manager(options);
+
+  const auto started = manager.start(small_spec(7, /*budget=*/200));
+  ASSERT_TRUE(started.admitted) << started.error;
+  wait_for_evals(manager, started.id, 1);
+  // A directory where the tombstone goes: fopen fails on it, even as root.
+  const std::string tombstone =
+      dir.file("session-" + std::to_string(started.id) + ".cancelled");
+  ASSERT_TRUE(fs::create_directories(tombstone));
+
+  const auto counter = [] {
+    const auto counters = obs::metrics().snapshot().counters;
+    const auto it = counters.find("service.cancel.tombstone_failures");
+    return it == counters.end() ? std::uint64_t{0} : it->second;
+  };
+  const std::uint64_t before = counter();
+  std::string why;
+  ASSERT_TRUE(manager.cancel(started.id, &why)) << why;
+  wait_for_state(manager, started.id, service::SessionState::kCancelled);
+  EXPECT_EQ(counter(), before + 1);
+
+  std::vector<service::FleetEvent> events;
+  ASSERT_TRUE(service::EventJournal::load_file(
+      options.events_path, events, core::LoadMode::kStrict));
+  std::size_t failed = 0;
+  for (const auto& event : events) {
+    if (event.kind != "cancel.tombstone_failed") continue;
+    ++failed;
+    EXPECT_EQ(event.session, started.id);
+    EXPECT_EQ(event.detail, tombstone);
+  }
+  EXPECT_EQ(failed, 1u);
+  EXPECT_FALSE(service::logical_event_kind("cancel.tombstone_failed"));
 }
 
 // ---------------------------------------- interleaved determinism ---------
