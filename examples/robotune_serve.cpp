@@ -54,7 +54,8 @@ void usage(const char* argv0) {
       "  --socket PATH     listening socket      (default DIR/robotune.sock)\n"
       "  --max-live N      concurrent sessions   (default 2)\n"
       "  --queue N         pending-queue bound   (default 8)\n"
-      "  --slots N         turnstile compute slices, 0 = max-live\n"
+      "  --slots N         workers stepping internal sessions round-robin,\n"
+      "                    0 = max-live (capped at max-live)\n"
       "                    (default 0; 1 = strict round-robin)\n"
       "  --seed N          service seed for derived session seeds\n"
       "                    (default 2024)\n"
@@ -261,7 +262,7 @@ int main(int argc, char** argv) {
   });
   std::printf("serving on %s (max-live %zu, queue %zu, slots %zu)\n",
               socket_path.c_str(), options.max_live, options.max_pending,
-              options.slots == 0 ? options.max_live : options.slots);
+              manager.service_status().slots);
   std::fflush(stdout);
 
   const std::size_t served = server.serve(g_stop);

@@ -2,8 +2,8 @@
 // tasks, not threads).  Used to parallelize embarrassingly parallel loops:
 // random-forest tree training, multi-start acquisition optimization, and
 // repeated tuner runs inside the benchmark harnesses.  The service layer
-// (src/service) additionally multiplexes whole tuning sessions over a
-// pool and sizes its admission control from the introspection calls.
+// (src/service) additionally steps tuning sessions, one round per task,
+// on pools whose occupancy it samples through the introspection calls.
 //
 // Tasks must not share writable state; each parallel_for body receives the
 // index and should only write to its own slot of a pre-sized output.

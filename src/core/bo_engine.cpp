@@ -623,38 +623,55 @@ BoResult BoEngine::run(sparksim::SparkObjective& objective,
                        const std::vector<MemoizedConfig>& memoized,
                        const BoObserver& observer, SessionLog* session,
                        exec::EvalScheduler* scheduler,
-                       ExternalBridge* external,
                        const std::function<bool()>& paced_stop) {
+  begin_run(objective, memoized, observer, session, scheduler);
+  while (run_round(paced_stop && paced_stop()) == Step::kRound) {
+  }
+  return end_run();
+}
+
+void BoEngine::begin_run(sparksim::SparkObjective& objective,
+                         const std::vector<MemoizedConfig>& memoized,
+                         const BoObserver& observer, SessionLog* session,
+                         exec::EvalScheduler* scheduler,
+                         ExternalBridge* external) {
   require(!(scheduler != nullptr && external != nullptr),
           "BoEngine: scheduler and external bridge are mutually exclusive");
+  objective_ = &objective;
+  log_ = session;
+  external_ = external;
+  awaiting_ = false;
   // Ask/tell mode: a bridge is attached, or the checkpoint was journaled
   // by an external session (standalone replay needs no bridge).
-  const bool external_mode =
+  external_mode_ =
       external != nullptr || (session != nullptr && session->state.external);
   // Every internal round runs through a scheduler; without one, a local
-  // one-worker scheduler evaluates inline on this thread.
-  std::optional<exec::EvalScheduler> local_scheduler;
-  if (scheduler == nullptr && !external_mode) {
-    scheduler = &local_scheduler.emplace();
+  // one-worker scheduler evaluates inline on the calling thread.
+  local_scheduler_.reset();
+  if (scheduler == nullptr && !external_mode_) {
+    local_scheduler_ = std::make_unique<exec::EvalScheduler>();
+    scheduler = local_scheduler_.get();
   }
+  scheduler_ = scheduler;
 
-  std::size_t journaled = 0;
+  journaled_ = 0;
+  replay_pos_ = 0;
   if (session != nullptr) {
     // Parallel sessions journal in completion order; restore canonical
     // order and drop anything stranded past a crash hole.
     canonicalize_journal(session->state);
-    journaled = session->state.evaluations.size();
+    journaled_ = session->state.evaluations.size();
     const std::string racing_sig =
         scheduler != nullptr ? exec::racing_signature(scheduler->racing())
                              : std::string("off");
-    if (journaled > 0 || !session->state.suggests.empty()) {
+    if (journaled_ > 0 || !session->state.suggests.empty()) {
       // Mode is pinned the moment anything was journaled: an internal
       // checkpoint must not resume in ask/tell mode and vice versa.
       require(!(external != nullptr && !session->state.external),
               "BoEngine: checkpoint was journaled by an internal-mode "
               "session; it cannot resume in ask/tell (external) mode");
     }
-    if (journaled > 0) {
+    if (journaled_ > 0) {
       // Evaluations of a sequential-seeding journal drew from the
       // objective's sequential stream, which no path consumes any more;
       // continuing it on index-derived streams would silently diverge.
@@ -686,116 +703,137 @@ BoResult BoEngine::run(sparksim::SparkObjective& objective,
   if (external != nullptr) external->bind(session);
 
   start(memoized, observer);
+}
 
-  // Degrade events are derived state: a resumed engine re-takes the same
-  // ladder decisions, so the journal mirrors the engine's list.  Kill
-  // events belong to journaled evaluations and are kept.
-  const auto mirror_degrades = [&] {
-    if (session != nullptr) session->state.degrade_events = degrade_events_;
-  };
-  const auto flush = [session](std::uint64_t eval_index) {
-    if (session == nullptr || !session->flush) return;
-    obs::Span span("journal", "bo");
-    span.arg("eval_index", eval_index);
-    session->flush(session->state);
-  };
+// Degrade events are derived state (a resumed engine re-takes the same
+// rungs), so the journal mirrors the engine's list; kill events stay.
+void BoEngine::mirror_degrades() {
+  if (log_ != nullptr) log_->state.degrade_events = degrade_events_;
+}
 
-  std::size_t replay_pos = 0;
-  while (!finished()) {
-    // Cancellation lands on round boundaries, where every completed
-    // evaluation is journaled; the service turnstile yields here too.
-    if (paced_stop && paced_stop()) {
+void BoEngine::flush(std::uint64_t eval_index) {
+  if (log_ == nullptr || !log_->flush) return;
+  obs::Span span("journal", "bo");
+  span.arg("eval_index", eval_index);
+  log_->flush(log_->state);
+}
+
+Step BoEngine::run_round(bool stop) {
+  if (awaiting_) {
+    std::vector<ExternalObservation> reported;
+    if (!external_->collect(reported)) {
+      if (!stop) return Step::kAwait;
+      // Cancelled mid-round: the journal keeps the round's suggests and
+      // acks, so a resume re-enters this exact round.
       result_.interrupted = true;
-      break;
+      return Step::kDone;
     }
-    obs::Span round_span(in_init() ? "init" : "iteration", "bo");
-    const BoRound round = *propose();
-    round_span.arg("first_index", round.first_index);
-    round_span.arg("q", static_cast<std::uint64_t>(round.points.size()));
-    mirror_degrades();
-    const std::size_t size = round.points.size();
-    std::vector<tuners::Evaluation> evals;
-    evals.reserve(size);
-
-    // Replay the round's journaled prefix.
-    while (evals.size() < size && replay_pos < journaled) {
-      const auto& rec = session->state.evaluations[replay_pos];
-      require(rec.index == replay_pos,
-              "BoEngine: journal is not in canonical order");
-      ++replay_pos;
-      obs::count("bo.journal_replayed");
-      evals.push_back(append(replayed(rec, session->state)));
-    }
-
-    // The live remainder: published for an external executor, or one
-    // scheduler batch.
-    const std::size_t live_begin = evals.size();
-    const std::uint64_t first_live = round.first_index + live_begin;
-    if (live_begin < size && external_mode) {
-      require(external != nullptr,
-              "BoEngine: external-mode checkpoint has unreplayed budget; "
-              "attach an ask/tell bridge (host it in the daemon) to "
-              "continue — standalone runs can only replay it");
-      const std::vector<std::vector<double>> live(
-          round.points.begin() + static_cast<std::ptrdiff_t>(live_begin),
-          round.points.end());
-      std::vector<ExternalObservation> reported;
-      if (!external->exchange(live, first_live, reported)) {
-        // Cancelled mid-round.  The journal keeps the round's pending
-        // suggestions (and any acks already accepted), so a resume
-        // re-enters this exact exchange.
-        result_.interrupted = true;
-        break;
-      }
-      for (std::size_t i = live_begin; i < size; ++i) {
-        const auto& e = append(funnel_external(
-            round.points[i], reported[i - live_begin], round.threshold));
-        // Journaled post-funnel.
-        if (session != nullptr) {
-          session->state.evaluations.push_back(
-              record_of(e, round.first_index + i));
-        }
-        evals.push_back(e);
-      }
-      if (session != nullptr) {
-        // One flush resolves the round: the eval records land and their
-        // suggests leave the pending set (the acks are already durable).
-        const std::uint64_t resolved_end = round.first_index + size;
-        std::erase_if(session->state.suggests,
-                      [resolved_end](const SuggestRecord& s) {
-                        return s.index < resolved_end;
-                      });
-        flush(resolved_end - 1);
-      }
-    } else if (live_begin < size) {
-      std::vector<exec::EvalRequest> requests;
-      requests.reserve(size - live_begin);
-      for (std::size_t i = live_begin; i < size; ++i) {
-        requests.push_back({round.points[i], round.threshold});
-      }
-      // Journal completions as they happen, on the worker that finished
-      // them — possibly out of index order (canonicalized on resume).
-      const auto outcomes = scheduler->run_batch(
-          objective, requests, first_live,
-          [&](const exec::CompletedEval& done) {
-            if (session == nullptr) return;
-            session->state.evaluations.push_back(record_of(
-                tuners::to_evaluation(done.request->unit, *done.outcome),
-                done.eval_index));
-            if (done.outcome->status == sparksim::RunStatus::kKilled) {
-              session->state.kill_events.push_back(
-                  KillEvent{done.eval_index, done.outcome->kill_reason});
-            }
-            flush(done.eval_index);
-          });
-      for (std::size_t i = live_begin; i < size; ++i) {
-        evals.push_back(
-            tuners::to_evaluation(round.points[i], outcomes[i - live_begin]));
+    awaiting_ = false;
+    obs::Span span(round_first_ < init_subs_.size() ? "init" : "iteration",
+                   "bo");
+    const auto& history = result_.tuning.history;
+    const std::size_t live_begin = history.size() - round_first_;
+    for (std::size_t i = live_begin; i < round_subs_.size(); ++i) {
+      const auto& e = append(funnel_external(expand(round_subs_[i]),
+                                             reported[i - live_begin],
+                                             awaiting_threshold_));
+      // Journaled post-funnel.
+      if (log_ != nullptr) {
+        log_->state.evaluations.push_back(record_of(e, round_first_ + i));
       }
     }
-    tell(evals);
+    if (log_ != nullptr) {
+      // One flush resolves the round: the eval records land and their
+      // suggests leave the pending set (the acks are already durable).
+      const std::uint64_t resolved_end = history.size();
+      std::erase_if(log_->state.suggests,
+                    [resolved_end](const SuggestRecord& s) {
+                      return s.index < resolved_end;
+                    });
+      flush(resolved_end - 1);
+    }
+    tell({history.begin() + static_cast<std::ptrdiff_t>(round_first_),
+          history.end()});
   }
+  if (finished()) return Step::kDone;
+  // Cancellation lands on round boundaries, where every completed
+  // evaluation is journaled.
+  if (stop) {
+    result_.interrupted = true;
+    return Step::kDone;
+  }
+  obs::Span round_span(in_init() ? "init" : "iteration", "bo");
+  BoRound round = *propose();
+  round_span.arg("first_index", round.first_index);
+  round_span.arg("q", static_cast<std::uint64_t>(round.points.size()));
   mirror_degrades();
+  const std::size_t size = round.points.size();
+  std::vector<tuners::Evaluation> evals;
+  evals.reserve(size);
+
+  // Replay the round's journaled prefix.
+  while (evals.size() < size && replay_pos_ < journaled_) {
+    const auto& rec = log_->state.evaluations[replay_pos_];
+    require(rec.index == replay_pos_,
+            "BoEngine: journal is not in canonical order");
+    ++replay_pos_;
+    obs::count("bo.journal_replayed");
+    evals.push_back(append(replayed(rec, log_->state)));
+  }
+
+  // The live remainder: published for an external executor, or one
+  // scheduler batch.
+  const std::size_t live_begin = evals.size();
+  const std::uint64_t first_live = round.first_index + live_begin;
+  if (live_begin < size && external_mode_) {
+    require(external_ != nullptr,
+            "BoEngine: external-mode checkpoint has unreplayed budget; "
+            "attach an ask/tell bridge (host it in the daemon) to "
+            "continue — standalone runs can only replay it");
+    const std::vector<std::vector<double>> live(
+        round.points.begin() + static_cast<std::ptrdiff_t>(live_begin),
+        round.points.end());
+    awaiting_ = true;
+    awaiting_threshold_ = round.threshold;
+    // Once published, a tell may resolve the round and the host step the
+    // engine on another thread: publish() is the last touch of engine
+    // state.  A round acked in full before a restart completes next step.
+    return external_->publish(live, first_live) ? Step::kRound
+                                                : Step::kAwait;
+  }
+  if (live_begin < size) {
+    std::vector<exec::EvalRequest> requests;
+    requests.reserve(size - live_begin);
+    for (std::size_t i = live_begin; i < size; ++i) {
+      requests.push_back({round.points[i], round.threshold});
+    }
+    // Journal completions as they happen, on the worker that finished
+    // them — possibly out of index order (canonicalized on resume).
+    const auto outcomes = scheduler_->run_batch(
+        *objective_, requests, first_live,
+        [&](const exec::CompletedEval& done) {
+          if (log_ == nullptr) return;
+          log_->state.evaluations.push_back(record_of(
+              tuners::to_evaluation(done.request->unit, *done.outcome),
+              done.eval_index));
+          if (done.outcome->status == sparksim::RunStatus::kKilled) {
+            log_->state.kill_events.push_back(
+                KillEvent{done.eval_index, done.outcome->kill_reason});
+          }
+          flush(done.eval_index);
+        });
+    for (std::size_t i = live_begin; i < size; ++i) {
+      evals.push_back(
+          tuners::to_evaluation(round.points[i], outcomes[i - live_begin]));
+    }
+  }
+  tell(evals);
+  return finished() ? Step::kDone : Step::kRound;
+}
+
+BoResult BoEngine::end_run() {
+  mirror_degrades();
+  local_scheduler_.reset();
   return result_;
 }
 

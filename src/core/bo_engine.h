@@ -15,12 +15,11 @@
 //                     history and incumbent bookkeeping, then the model,
 //                     Hedge gains and early-stop counters
 //
-// run() is the one driver over those steps.  Per round it paces
-// (Tuner::set_pacing's cancel/yield), proposes, replays the journaled
-// prefix of the round, evaluates the live remainder — as one
-// EvalScheduler batch (a local one-worker scheduler when none is given)
-// or through an ExternalBridge — journaling as each mode always has, and
-// tells.
+// run_round() drives one round over those steps: propose, replay the
+// round's journaled prefix, evaluate the rest as one EvalScheduler batch
+// (a local one-worker scheduler when none is given) or publish it
+// through an ExternalBridge, journal, tell.  Hosts step it between
+// begin_run() and end_run(); run() is that loop on the calling thread.
 #pragma once
 
 #include <algorithm>
@@ -133,7 +132,7 @@ using BoObserver = std::function<void(const BoObserverInfo&)>;
 
 /// Checkpoint/resume journal for a BO session.
 ///
-/// BoEngine::run appends one EvalRecord per completed evaluation to
+/// BoEngine::run_round appends one EvalRecord per completed evaluation to
 /// `state.evaluations` and calls `flush` after each one (scheduler
 /// rounds) or once per resolved round (ask/tell mode, whose observations
 /// are journaled as acks when they arrive), so a kill -9 loses at most
@@ -160,6 +159,13 @@ struct BoResult {
   /// the journal (if any) holds a resumable checkpoint.
   bool interrupted = false;
   int iterations_run = 0;
+};
+
+/// What a driven round left behind (BoEngine::run_round).
+enum class Step {
+  kRound,  ///< more rounds to run
+  kAwait,  ///< published to the ask/tell bridge: step once it resolves
+  kDone,   ///< the run is over: budget spent, early stop, or cancelled
 };
 
 /// One round handed out by BoEngine::propose().
@@ -191,32 +197,38 @@ class BoEngine {
   std::optional<BoRound> propose();
 
   /// Takes the proposed round's evaluations in point order, as
-  /// tuners::to_evaluation makes them.  Ones run() booked while streaming
-  /// the round (replayed, ask/tell) are not booked twice.
+  /// tuners::to_evaluation makes them.  Ones run_round() booked while
+  /// streaming the round (replayed, ask/tell) are not booked twice.
   void tell(const std::vector<tuners::Evaluation>& evals);
 
   /// Everything told so far; hedge_gains are current.
   const BoResult& result() const noexcept { return result_; }
 
-  /// Runs Algorithm 1 (batched when options.batch_size > 1) as one
-  /// propose/evaluate/tell loop.  `memoized` seeds the initial set.
-  /// `session` journals and replays (see SessionLog).  Each round runs as
-  /// one `scheduler` batch with index-derived seed streams, bit-identical
-  /// for any parallelism; without a scheduler (and without a bridge) a
-  /// local one-worker scheduler runs it inline, with the same results as
-  /// parallelism 1.  `external` (ask/tell mode, DESIGN.md §16; exclusive
-  /// with `scheduler`) publishes each round through the bridge and blocks
-  /// for the observations; its checkpoints replay standalone but need a
-  /// bridge for live rounds.  `paced_stop` runs
-  /// before every round: it may block (the service turnstile) and returns
-  /// true to cancel there, with BoResult::interrupted set.
+  /// Runs Algorithm 1 (batched when options.batch_size > 1) to the end.
+  /// `paced_stop` runs before every round; true cancels there.
   BoResult run(sparksim::SparkObjective& objective,
                const std::vector<MemoizedConfig>& memoized = {},
                const BoObserver& observer = nullptr,
                SessionLog* session = nullptr,
                exec::EvalScheduler* scheduler = nullptr,
-               ExternalBridge* external = nullptr,
                const std::function<bool()>& paced_stop = nullptr);
+
+  /// Starts a driven run: `memoized` seeds the initial set, `session`
+  /// journals and replays (see SessionLog), and rounds run as `scheduler`
+  /// batches (bit-identical at any parallelism; inline without one) or
+  /// go to the ask/tell bridge `external` (DESIGN.md §16).
+  void begin_run(sparksim::SparkObjective& objective,
+                 const std::vector<MemoizedConfig>& memoized = {},
+                 const BoObserver& observer = nullptr,
+                 SessionLog* session = nullptr,
+                 exec::EvalScheduler* scheduler = nullptr,
+                 ExternalBridge* external = nullptr);
+  /// One round boundary: completes a resolved ask/tell round, then
+  /// cancels (`stop`, BoResult::interrupted) or runs the next round.  An
+  /// unresolved round stays kAwait, or is abandoned (journaled) on stop.
+  Step run_round(bool stop);
+  /// Ends the driven run: the journal mirrors the final degrade events.
+  BoResult end_run();
 
   /// Projects a full-space unit vector onto the selected subspace.
   std::vector<double> project(const std::vector<double>& full) const;
@@ -234,6 +246,8 @@ class BoEngine {
   void note_degrade(int iter, const char* rung);
 
   void propose_batch();
+  void mirror_degrades();
+  void flush(std::uint64_t eval_index);
   void learn_initial(const tuners::Evaluation* evals);
   void learn_batch(const tuners::Evaluation* evals);
 
@@ -277,6 +291,19 @@ class BoEngine {
   std::vector<gp::GpHedge::Choice> choices_;     ///< BO rounds only
   std::vector<char> fallback_;  ///< 1 = no acquisition chose the slot
   int fantasies_planted_ = 0;
+
+  // ---- begin_run .. end_run -----------------------------------------------
+  sparksim::SparkObjective* objective_ = nullptr;
+  SessionLog* log_ = nullptr;
+  exec::EvalScheduler* scheduler_ = nullptr;
+  std::unique_ptr<exec::EvalScheduler> local_scheduler_;
+  ExternalBridge* external_ = nullptr;
+  bool external_mode_ = false;
+  std::size_t journaled_ = 0;   ///< evaluations the journal held at begin
+  std::size_t replay_pos_ = 0;  ///< next of those to replay
+  /// The open round waits for tells, under this guard threshold.
+  bool awaiting_ = false;
+  double awaiting_threshold_ = 0.0;
 };
 
 }  // namespace robotune::core

@@ -64,28 +64,40 @@ tuners::Evaluation funnel_external(const std::vector<double>& unit,
 }
 
 void ExternalBridge::bind(SessionLog* log) {
+  restore(log != nullptr ? log->state : SessionCheckpoint{});
   std::lock_guard<std::mutex> lock(mu_);
   log_ = log;
+}
+
+void ExternalBridge::restore(const SessionCheckpoint& state) {
+  std::lock_guard<std::mutex> lock(mu_);
   acks_.clear();
   next_lease_ = 1;
-  if (log_ == nullptr) return;
-  for (const auto& ack : log_->state.observe_acks) {
+  for (const auto& ack : state.observe_acks) {
     acks_[ack.index] =
         ExternalObservation{ack.value_s, ack.cost_s, ack.status};
   }
   // Lease ids stay monotonic across restarts: resume past the largest
   // id any journal record ever carried.  The leases themselves are
   // void (deadlines were relative to the dead daemon's clock).
-  for (const auto& s : log_->state.suggests) {
+  for (const auto& s : state.suggests) {
     next_lease_ = std::max(next_lease_, s.lease + 1);
   }
-  for (const auto& e : log_->state.lease_expiries) {
+  for (const auto& e : state.lease_expiries) {
     next_lease_ = std::max(next_lease_, e.lease + 1);
   }
 }
 
 void ExternalBridge::flush_journal() {
   if (log_ != nullptr && log_->flush) log_->flush(log_->state);
+}
+
+SuggestRecord* ExternalBridge::find_suggest(std::uint64_t index) {
+  if (log_ == nullptr) return nullptr;
+  for (auto& record : log_->state.suggests) {
+    if (record.index == index) return &record;
+  }
+  return nullptr;
 }
 
 ExternalBridge::Slot* ExternalBridge::find_slot(std::uint64_t index) {
@@ -95,11 +107,14 @@ ExternalBridge::Slot* ExternalBridge::find_slot(std::uint64_t index) {
   return nullptr;
 }
 
-bool ExternalBridge::exchange(
-    const std::vector<std::vector<double>>& points, std::uint64_t first_index,
-    std::vector<ExternalObservation>& out) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (cancel_ || closed_) return false;
+bool ExternalBridge::all_delivered() const {
+  return std::all_of(round_.begin(), round_.end(),
+                     [](const Slot& s) { return s.delivered; });
+}
+
+bool ExternalBridge::publish(const std::vector<std::vector<double>>& points,
+                             std::uint64_t first_index) {
+  std::lock_guard<std::mutex> lock(mu_);
   round_.clear();
   bool journal_dirty = false;
   for (std::size_t i = 0; i < points.size(); ++i) {
@@ -115,14 +130,7 @@ bool ExternalBridge::exchange(
     } else if (log_ != nullptr) {
       // Reuse the suggest record a previous process journaled for this
       // index (keeps its last lease id); journal a fresh one otherwise.
-      SuggestRecord* existing = nullptr;
-      for (auto& s : log_->state.suggests) {
-        if (s.index == slot.index) {
-          existing = &s;
-          break;
-        }
-      }
-      if (existing != nullptr) {
+      if (const SuggestRecord* existing = find_suggest(slot.index)) {
         slot.lease = existing->lease;
       } else {
         SuggestRecord record;
@@ -141,20 +149,12 @@ bool ExternalBridge::exchange(
   // before its journal record exists.
   if (journal_dirty) flush_journal();
   round_active_ = true;
-  cv_.wait(lock, [&] {
-    if (cancel_ || closed_) return true;
-    return std::all_of(round_.begin(), round_.end(),
-                       [](const Slot& s) { return s.delivered; });
-  });
-  const bool complete = std::all_of(round_.begin(), round_.end(),
-                                    [](const Slot& s) { return s.delivered; });
-  if (!complete) {
-    // Cancelled mid-round: leave the journal's pending entries alone so
-    // a resume re-enters this exact round.
-    round_active_ = false;
-    round_.clear();
-    return false;
-  }
+  return all_delivered();
+}
+
+bool ExternalBridge::collect(std::vector<ExternalObservation>& out) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!round_active_ || !all_delivered()) return false;
   out.clear();
   out.reserve(round_.size());
   for (const auto& slot : round_) out.push_back(slot.obs);
@@ -163,16 +163,12 @@ bool ExternalBridge::exchange(
   return true;
 }
 
-void ExternalBridge::request_cancel() {
-  std::lock_guard<std::mutex> lock(mu_);
-  cancel_ = true;
-  cv_.notify_all();
-}
-
 void ExternalBridge::close() {
   std::lock_guard<std::mutex> lock(mu_);
-  closed_ = true;
-  cv_.notify_all();
+  // An unresolved round's suggests stay journaled; its late tells find
+  // nothing to resolve.
+  round_active_ = false;
+  round_.clear();
 }
 
 std::vector<LeaseGrant> ExternalBridge::lease(std::size_t max_count,
@@ -180,7 +176,7 @@ std::vector<LeaseGrant> ExternalBridge::lease(std::size_t max_count,
                                               std::uint64_t timeout_ticks) {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<LeaseGrant> grants;
-  if (!round_active_ || closed_) return grants;
+  if (!round_active_) return grants;
   bool journal_dirty = false;
   for (auto& slot : round_) {
     if (grants.size() >= max_count) break;
@@ -188,14 +184,9 @@ std::vector<LeaseGrant> ExternalBridge::lease(std::size_t max_count,
     slot.lease = next_lease_++;
     slot.leased = true;
     slot.deadline = now + timeout_ticks;
-    if (log_ != nullptr) {
-      for (auto& s : log_->state.suggests) {
-        if (s.index == slot.index) {
-          s.lease = slot.lease;
-          journal_dirty = true;
-          break;
-        }
-      }
+    if (SuggestRecord* record = find_suggest(slot.index)) {
+      record->lease = slot.lease;
+      journal_dirty = true;
     }
     LeaseGrant grant;
     grant.index = slot.index;
@@ -230,6 +221,7 @@ ExternalBridge::TellResult ExternalBridge::tell(
   slot->obs = obs;
   slot->delivered = true;
   acks_[index] = obs;
+  result.resolved = all_delivered();
   if (log_ != nullptr) {
     ObserveAck ack;
     ack.index = index;
@@ -243,7 +235,6 @@ ExternalBridge::TellResult ExternalBridge::tell(
   }
   result.verdict = TellVerdict::kAccepted;
   result.recorded = obs;
-  cv_.notify_all();
   return result;
 }
 
@@ -279,11 +270,6 @@ std::size_t ExternalBridge::leased(std::uint64_t now) const {
       round_.begin(), round_.end(), [now](const Slot& s) {
         return !s.delivered && s.leased && now < s.deadline;
       }));
-}
-
-bool ExternalBridge::closed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return closed_;
 }
 
 }  // namespace robotune::core

@@ -1,38 +1,32 @@
 // Ask/tell bridge for external-mode sessions (DESIGN.md §16).
 //
 // An external session proposes configurations but never runs them: an
-// outside executor (a real Spark cluster, a benchmark harness, a human)
+// outside executor (a Spark cluster, a benchmark harness, a human)
 // leases suggestions, measures them on its own schedule, and reports
-// `(value, cost, status)` tuples back.  That executor crashes, retries,
-// and duplicates messages, so the bridge owns the robustness contract
-// between the deterministic BO engine and the unreliable outside world:
+// `(value, cost, status)` tuples back — crashing, retrying and
+// duplicating messages as it goes.  The bridge is the lease ledger that
+// keeps the deterministic engine safe from that:
 //
-//   - the ENGINE side publishes a batch with `exchange()` and blocks
-//     until every point in the round is resolved (or the session is
-//     cancelled);
-//   - the SERVICE side hands suggestions out under monotonic lease ids
-//     with tick deadlines (`lease`), accepts observations idempotently
-//     (`tell` — a re-sent observe returns the recorded ack, a
-//     conflicting one is rejected), and expires abandoned leases back
-//     to the pending pool (`reap`).
+//   - the ENGINE side publishes a round (`publish`) and returns; once
+//     the round is resolved, its next step takes the observations
+//     (`collect`).  No thread waits on the bridge.
+//   - the SERVICE side leases suggestions under monotonic ids with tick
+//     deadlines (`lease`), accepts observations idempotently (`tell`:
+//     a re-send returns the recorded ack, a conflict is rejected, and
+//     the delivery that resolves the round says so), and expires
+//     abandoned leases back to the pending pool (`reap`).
 //
-// Every ledger transition is journaled through the session's
-// checkpoint (suggest / observe_ack / lease_expired records) *before*
-// it becomes observable to clients, so a kill -9 at any instant
-// restarts into exactly the same pending set: nothing lost, nothing
-// double-issued.
+// Every ledger transition is journaled (suggest / observe_ack /
+// lease_expired records) *before* clients can observe it, so a kill -9
+// at any instant restarts into exactly the same pending set.
 //
-// Concurrency invariant: service calls mutate the shared SessionLog
-// only while at least one suggestion in the round is undelivered —
-// which is precisely while the engine is parked inside `exchange()`.
-// Once the round resolves, the engine owns the log again (journals the
-// eval records, prunes the resolved suggests) and service calls are
-// read-only until the next round.  All bridge state is guarded by one
-// internal mutex; callers must NOT hold their own locks across bridge
-// calls (the bridge flushes the journal, which can be slow).
+// Concurrency: service calls mutate the SessionLog only while a
+// published round has an undelivered suggestion; the engine touches it
+// only before publishing and after the round resolves or the bridge is
+// closed.  One internal mutex guards the bridge; callers must NOT hold
+// their own locks across bridge calls (the bridge flushes the journal).
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
@@ -82,7 +76,7 @@ tuners::Evaluation funnel_external(const std::vector<double>& unit,
 
 /// What `tell` did with an observation.
 enum class TellVerdict {
-  kAccepted,   ///< first delivery: recorded, journaled, engine woken
+  kAccepted,   ///< first delivery: recorded and journaled
   kDuplicate,  ///< exact re-delivery: recorded ack returned, no effect
   kConflict,   ///< same index, different tuple: rejected
   kUnknown,    ///< index never suggested (or not yet published)
@@ -98,35 +92,41 @@ class ExternalBridge {
   struct TellResult {
     TellVerdict verdict = TellVerdict::kUnknown;
     ExternalObservation recorded;
+    /// This delivery resolved the round: the host schedules the
+    /// engine's next step.  True for exactly one tell per round.
+    bool resolved = false;
   };
 
   // ---- engine side ------------------------------------------------
 
   /// Attaches the session journal (nullable for in-memory ask/tell)
-  /// and restores the ledger a previous process left behind: the
-  /// idempotency map from observe_ack records and the next lease id
-  /// from the largest id ever journaled.  Called once, by the engine,
-  /// before the first exchange.
+  /// and restores its ledger.  Called once, by the engine, before the
+  /// first publish.
   void bind(SessionLog* log);
 
-  /// Publishes one round of proposals (canonical indices first_index,
-  /// first_index+1, ...) and blocks until every one is resolved by
-  /// `tell` (or restored acks).  Suggestions are journaled before they
-  /// become leasable.  Returns false — with `out` unspecified — when
-  /// the session was cancelled or closed mid-round; the round's
-  /// pending entries stay journaled so a resume re-enters the same
-  /// round.  On true, `out[i]` is the observation for points[i].
-  bool exchange(const std::vector<std::vector<double>>& points,
-                std::uint64_t first_index,
-                std::vector<ExternalObservation>& out);
+  /// Restores the ledger a journal holds: the idempotency map from
+  /// observe_ack records and the next lease id from the largest id ever
+  /// journaled.  A closed bridge restored from a finished session's
+  /// journal answers late retries without the session.
+  void restore(const SessionCheckpoint& state);
 
-  /// Wakes a parked exchange and makes it (and all future exchanges)
-  /// return false.  Safe from any thread.
-  void request_cancel();
+  /// Publishes one round of proposals (canonical indices first_index,
+  /// first_index+1, ...).  Suggestions are journaled before they become
+  /// leasable.  Returns true when the round is resolved already (every
+  /// point was acked before a restart); otherwise exactly one later
+  /// tell reports `resolved`.
+  bool publish(const std::vector<std::vector<double>>& points,
+               std::uint64_t first_index);
+
+  /// Takes the resolved round's observations in point order and retires
+  /// the round.  False, with nothing taken, while a point is
+  /// undelivered or after close().
+  bool collect(std::vector<ExternalObservation>& out);
 
   /// Marks the session terminal: lease() stops granting and tell()
-  /// answers only from the recorded-ack ledger.  Called by the session
-  /// host after the engine returns.
+  /// answers only from the recorded-ack ledger.  An unresolved round
+  /// stays journaled, so a resume re-enters it.  Called by the session
+  /// host before its final journal write.
   void close();
 
   // ---- service side -----------------------------------------------
@@ -157,8 +157,6 @@ class ExternalBridge {
   /// Undelivered suggestions currently out on a live lease.
   std::size_t leased(std::uint64_t now) const;
 
-  bool closed() const;
-
  private:
   struct Slot {
     std::uint64_t index = 0;
@@ -173,14 +171,13 @@ class ExternalBridge {
   // All private helpers assume mu_ is held.
   void flush_journal();
   Slot* find_slot(std::uint64_t index);
+  SuggestRecord* find_suggest(std::uint64_t index);  ///< null if no log
+  bool all_delivered() const;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
   SessionLog* log_ = nullptr;
   std::vector<Slot> round_;
   bool round_active_ = false;
-  bool cancel_ = false;
-  bool closed_ = false;
   std::uint64_t next_lease_ = 1;
   /// Every observation ever accepted, by eval index — the idempotency
   /// ledger `tell` consults before treating a delivery as new.

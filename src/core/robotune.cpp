@@ -24,17 +24,29 @@ RoboTuneReport RoboTune::tune_report(sparksim::SparkObjective& objective,
                                      int budget, std::uint64_t seed,
                                      const BoObserver& observer,
                                      SessionLog* session,
-                                     exec::EvalScheduler* scheduler,
-                                     ExternalBridge* external) {
-  RoboTuneReport report;
-  const std::string workload_key =
-      sparksim::to_string(objective.workload().kind);
+                                     exec::EvalScheduler* scheduler) {
   obs::Span session_span("session", "core");
   session_span.arg("tuner", name());
-  session_span.arg("workload", workload_key);
+  session_span.arg("workload", sparksim::to_string(objective.workload().kind));
   session_span.arg("budget", budget);
   session_span.arg("seed", seed);
+  begin_report(objective, budget, seed, observer, session, scheduler);
+  while (step(paced_stop()) == Step::kRound) {
+  }
+  return end_report();
+}
 
+void RoboTune::begin_report(sparksim::SparkObjective& objective, int budget,
+                            std::uint64_t seed, const BoObserver& observer,
+                            SessionLog* session,
+                            exec::EvalScheduler* scheduler,
+                            ExternalBridge* external) {
+  report_ = std::make_unique<RoboTuneReport>();
+  RoboTuneReport& report = *report_;
+  workload_key_ = sparksim::to_string(objective.workload().kind);
+  const std::string& workload_key = workload_key_;
+
+  // ---- Parameter selection (checkpoint, cache hit, or RF pipeline) ------
   // A loaded checkpoint (non-empty selection) resumes: selection and the
   // memoized-config snapshot come from the checkpoint.  BO evaluations run
   // on index-derived seed streams, so the objective's sequential stream
@@ -48,13 +60,6 @@ RoboTuneReport RoboTune::tune_report(sparksim::SparkObjective& objective,
     require(session->state.workload == workload_key,
             "tune_report: checkpoint was taken for workload " +
                 session->state.workload);
-  }
-
-  // ---- Parameter selection (checkpoint, cache hit, or RF pipeline) ------
-  // Selection is the session's longest non-yielding stretch, so give the
-  // service turnstile one boundary before it starts.
-  if (const auto& pace = pacing_yield()) pace();
-  if (resuming) {
     report.selected = session->state.selected;
     report.selection_cost_s = session->state.selection_cost_s;
     selection_cache_.store(workload_key, report.selected);
@@ -117,9 +122,17 @@ RoboTuneReport RoboTune::tune_report(sparksim::SparkObjective& objective,
   BoOptions bo = options_.bo;
   bo.budget = budget;
   bo.seed = seed;
-  BoEngine engine(report.selected, objective.space().default_unit(), bo);
-  report.bo = engine.run(objective, memoized, observer, session, scheduler,
-                         external, [this] { return paced_stop(); });
+  engine_ = std::make_unique<BoEngine>(report.selected,
+                                       objective.space().default_unit(), bo);
+  engine_->begin_run(objective, memoized, observer, session, scheduler,
+                     external);
+}
+
+RoboTuneReport RoboTune::end_report() {
+  RoboTuneReport report = std::move(*report_);
+  report.bo = engine_->end_run();
+  report_.reset();
+  engine_.reset();
   report.tuning = report.bo.tuning;
   report.tuning.tuner = name();
 
@@ -134,7 +147,8 @@ RoboTuneReport RoboTune::tune_report(sparksim::SparkObjective& objective,
             });
   const std::size_t keep = std::min(options_.memoize_top_k, ok_evals.size());
   for (std::size_t i = 0; i < keep; ++i) {
-    memo_buffer_.store(workload_key, {ok_evals[i]->unit, ok_evals[i]->value_s});
+    memo_buffer_.store(workload_key_,
+                       {ok_evals[i]->unit, ok_evals[i]->value_s});
   }
   return report;
 }

@@ -72,20 +72,26 @@ class RoboTune : public tuners::Tuner {
   /// (see BoEngine::run); without one, the rounds run inline on a local
   /// one-worker scheduler with the same results.  Either way evaluations
   /// use index-derived seed streams; parameter selection itself stays
-  /// sequential, on the objective's own stream.
-  ///
-  /// `external`, when given, runs the BO search in ask/tell mode: the
-  /// engine publishes each batch through the bridge and blocks for
-  /// externally reported observations (see BoEngine::run).  Parameter
-  /// selection still runs against the simulator objective — selection
-  /// needs its 100 generic LHS probes, which an external executor does
-  /// not serve.  Mutually exclusive with `scheduler`.
+  /// sequential, on the objective's own stream.  set_pacing's hook runs
+  /// before every round.
   RoboTuneReport tune_report(sparksim::SparkObjective& objective, int budget,
                              std::uint64_t seed,
                              const BoObserver& observer = nullptr,
                              SessionLog* session = nullptr,
-                             exec::EvalScheduler* scheduler = nullptr,
-                             ExternalBridge* external = nullptr);
+                             exec::EvalScheduler* scheduler = nullptr);
+
+  /// tune_report as steps (core::Session): begin_report selects, journals
+  /// the metadata and starts the engine; step runs one round
+  /// (BoEngine::run_round); end_report fills the memoization buffer.
+  /// `external` publishes the BO rounds to an ask/tell bridge instead of
+  /// a `scheduler`; selection still probes the simulator objective.
+  void begin_report(sparksim::SparkObjective& objective, int budget,
+                    std::uint64_t seed, const BoObserver& observer = nullptr,
+                    SessionLog* session = nullptr,
+                    exec::EvalScheduler* scheduler = nullptr,
+                    ExternalBridge* external = nullptr);
+  Step step(bool stop) { return engine_->run_round(stop); }
+  RoboTuneReport end_report();
 
   ParameterSelectionCache& selection_cache() { return selection_cache_; }
   ConfigMemoizationBuffer& memo_buffer() { return memo_buffer_; }
@@ -95,6 +101,10 @@ class RoboTune : public tuners::Tuner {
   RoboTuneOptions options_;
   ParameterSelectionCache selection_cache_;
   ConfigMemoizationBuffer memo_buffer_;
+  // ---- begin_report .. end_report (allocated there) ---------------------
+  std::unique_ptr<BoEngine> engine_;
+  std::unique_ptr<RoboTuneReport> report_;
+  std::string workload_key_;
 };
 
 }  // namespace robotune::core

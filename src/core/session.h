@@ -75,7 +75,7 @@ struct SessionSpec {
   std::string refit = "auto";
   /// Session mode: "internal" runs evaluations against the sparksim
   /// objective (everything before DESIGN.md §16); "external" is
-  /// ask/tell — the session proposes configurations and blocks until an
+  /// ask/tell — the session proposes configurations and waits until an
   /// external executor observes them back (robotune only, parallel 0,
   /// no racing).  Serialized only when external, so internal
   /// spec files stay byte-identical and pre-external daemons reject
@@ -140,7 +140,11 @@ struct SessionOutcome {
   bool ok() const noexcept { return error.empty(); }
 };
 
-/// One assembled tuning session.  `run` may be called exactly once.
+/// One assembled tuning session.  It runs once, as a step machine:
+/// begin() (the start step), step() until it stops returning
+/// Step::kRound, then finish().  run() is that loop on the calling
+/// thread; the service's SessionManager schedules the same steps itself
+/// (DESIGN.md §13).  A baseline tuner runs whole in its one step.
 class Session {
  public:
   const SessionSpec& spec() const noexcept { return spec_; }
@@ -150,25 +154,36 @@ class Session {
   bool load_state(const std::string& path);
   bool save_state(const std::string& path);
 
-  /// Attaches the ask/tell bridge an external-mode session publishes
-  /// its batches through.  Must be called before run(); required when
-  /// spec().mode == "external" unless the journal already holds the
-  /// whole budget (standalone replay).  The caller keeps ownership and
-  /// must outlive run().
-  void attach_external(ExternalBridge* bridge) noexcept {
-    external_ = bridge;
-  }
+  /// The host's side of a session; every member is optional.
+  struct Hooks {
+    /// Polled at round boundaries: stop there, journal resumable.
+    const std::atomic<bool>* cancel = nullptr;
+    /// Every journal flush, and the end: the incumbent best.
+    std::function<void(const SessionProgress&)> progress;
+    /// A failed checkpoint write (the path); the session runs on.
+    std::function<void(const std::string&)> write_failed;
+    /// Where a mode=external session publishes its rounds (only a
+    /// standalone replay of a complete journal needs none).
+    ExternalBridge* external = nullptr;
+  };
 
-  /// Runs the session to completion (or to cancellation).  `cancel`
-  /// (nullable) is polled at round boundaries; `yield` (nullable) is the
-  /// fair-scheduling hook invoked at the same boundaries; `progress`
-  /// (nullable) fires on every journal flush with the incumbent best.
-  ///
-  /// When the session journals (spec.checkpoint_path non-empty) and ran
-  /// with batch parallelism, the journal is re-flushed in canonical
-  /// (eval-index) order on completion, so the final bytes are identical
-  /// for any worker count; one-worker sessions are already canonical and
-  /// their journal bytes are rewritten only for trailing degrade records.
+  /// The start step: loads the checkpoint, runs parameter selection and
+  /// starts the engine.  False when the session failed (finish() says
+  /// why).
+  bool begin(Hooks hooks);
+  /// One round (BoEngine::run_round); kDone = call finish().
+  Step step();
+  /// The finish step: closes the bridge, fills the memoization buffer,
+  /// and rewrites a journal that is not in canonical (eval-index) order
+  /// or misses trailing degrade records, so the final bytes are the same
+  /// for any worker count.
+  SessionOutcome finish();
+
+  /// Runs the session to completion (or to cancellation) on the calling
+  /// thread.  `cancel` (nullable) is polled at round boundaries; `yield`
+  /// (nullable) is invoked before parameter selection and before every
+  /// round; `progress` (nullable) fires on every journal flush with the
+  /// incumbent best.
   SessionOutcome run(
       const std::atomic<bool>* cancel = nullptr,
       std::function<void()> yield = nullptr,
@@ -178,6 +193,8 @@ class Session {
   friend class SessionFactory;
   explicit Session(SessionSpec spec);
 
+  void write_checkpoint(const SessionCheckpoint& state);
+
   SessionSpec spec_;
   sparksim::WorkloadKind kind_;
   sparksim::ObjectiveMetric metric_;
@@ -185,8 +202,19 @@ class Session {
   exec::RacingMode racing_mode_ = exec::RacingMode::kOff;
   std::unique_ptr<tuners::Tuner> tuner_;
   RoboTune* robotune_ = nullptr;  ///< non-null when tuner is robotune
-  ExternalBridge* external_ = nullptr;  ///< non-null for hosted ask/tell
-  bool ran_ = false;
+
+  /// The run's state, made by begin() so assembling a session stays cheap.
+  struct Run {
+    Hooks hooks;
+    std::optional<sparksim::SparkObjective> objective;
+    std::unique_ptr<exec::EvalScheduler> scheduler;
+    SessionLog log;
+    /// Degrade records on disk as of the last flush: the engine can take
+    /// a rung after the last evaluation is journaled (a final cl_purge).
+    std::size_t flushed_degrades = 0;
+    SessionOutcome outcome;
+  };
+  std::unique_ptr<Run> run_;
 };
 
 /// Parses a fault-profile string (preset name or "loss=F,fetch=F,..."

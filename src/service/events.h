@@ -39,13 +39,16 @@
 //     client.connect     client.disconnect       protocol.corrupt
 //     rpc.error          daemon.start            daemon.stop
 //     lease.expired      client.idle_drop        cancel.tombstone_failed
+//     journal.write_failed
 //   (lease.expired carries "eval <i> lease <l>" detail; it is runtime
 //   because reaper ticks race external tells, but the *journal v3*
 //   lease_expired record it mirrors is part of the session's durable
 //   state — see DESIGN.md §16.  client.idle_drop is the serve loop
 //   shedding a connection that never completed a frame.
 //   cancel.tombstone_failed carries the tombstone path: the cancel took
-//   effect, but a restarted daemon would resume the session.)
+//   effect, but a restarted daemon would resume the session.
+//   journal.write_failed carries the journal path: one checkpoint write
+//   failed, the previous checkpoint stays, and the session runs on.)
 //
 // logical_event_projection() extracts exactly the logical class,
 // grouped by session id with global sequence numbers and timestamps

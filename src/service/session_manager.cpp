@@ -13,6 +13,7 @@
 
 #include "common/chaos.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "service/telemetry.h"
 
 namespace robotune::service {
@@ -47,64 +48,18 @@ void sync_path(const std::string& path) {
 }  // namespace
 
 const char* to_string(SessionState state) noexcept {
-  switch (state) {
-    case SessionState::kQueued:
-      return "queued";
-    case SessionState::kRunning:
-      return "running";
-    case SessionState::kDone:
-      return "done";
-    case SessionState::kCancelled:
-      return "cancelled";
-    case SessionState::kFailed:
-      return "failed";
-  }
-  return "unknown";
-}
-
-// ---- Turnstile -----------------------------------------------------------
-
-void Turnstile::wait_for_turn(std::unique_lock<std::mutex>& lock,
-                              std::uint64_t id) {
-  if (active_ < slots_ && waiting_.empty()) {
-    ++active_;
-    return;
-  }
-  waiting_.push_back(id);
-  cv_.wait(lock, [&] {
-    return active_ < slots_ && !waiting_.empty() && waiting_.front() == id;
-  });
-  waiting_.pop_front();
-  ++active_;
-  // With several slots the next waiter may be eligible too.
-  cv_.notify_all();
-}
-
-void Turnstile::enter(std::uint64_t id) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  wait_for_turn(lock, id);
-}
-
-void Turnstile::yield(std::uint64_t id) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  if (waiting_.empty()) return;  // nobody wants the slice — keep running
-  --active_;
-  cv_.notify_all();
-  wait_for_turn(lock, id);
-}
-
-void Turnstile::leave() {
-  std::scoped_lock lock(mutex_);
-  --active_;
-  cv_.notify_all();
+  static constexpr const char* kNames[] = {"queued", "running", "done",
+                                           "cancelled", "failed"};
+  return kNames[static_cast<std::size_t>(state)];
 }
 
 // ---- SessionManager ------------------------------------------------------
 
 SessionManager::SessionManager(ServiceOptions options)
     : options_(std::move(options)),
-      turnstile_(options_.slots == 0 ? options_.max_live : options_.slots),
-      pool_(std::max<std::size_t>(1, options_.max_live)) {
+      step_pool_(std::clamp<std::size_t>(
+          options_.slots == 0 ? options_.max_live : options_.slots, 1,
+          std::max<std::size_t>(1, options_.max_live))) {
   fs::create_directories(options_.root);
   if (!options_.events_path.empty()) {
     EventJournal::Options ev;
@@ -161,10 +116,8 @@ SessionManager::StartResult SessionManager::admit(core::SessionSpec spec,
     if (!accepting_) {
       result.error = "service is shutting down";
     } else if (fixed_id == 0 && queued_ >= options_.max_pending) {
-      // Backpressure gates *external* start requests only: fleet
-      // recovery (fixed_id != 0) re-admits sessions that were already
-      // admitted before the crash, so a full pre-crash queue must never
-      // turn a healthy session away.
+      // Backpressure gates client start requests only, never recovery
+      // (fixed_id != 0) of sessions admitted before a crash.
       result.error = "queue full (" + std::to_string(queued_) +
                      " pending); retry later";
       obs::count("service.admission.rejected");
@@ -183,9 +136,8 @@ SessionManager::StartResult SessionManager::admit(core::SessionSpec spec,
     }
     return result;
   }
-  // The spec write (file + rename) happens outside the manager lock so
-  // status/suggest/dispatch and the sessions' progress callbacks never
-  // stall behind disk I/O.  The id and queue slot are already reserved.
+  // The spec write happens outside the manager lock, so no verb stalls
+  // behind disk I/O; the id and queue slot are already reserved.
   if (derive_seed) spec.seed = derive_session_seed(options_.seed, id);
   spec.checkpoint_path = journal_path(id);
   spec.sync = options_.sync;
@@ -207,114 +159,143 @@ SessionManager::StartResult SessionManager::admit(core::SessionSpec spec,
   }
   entry->progress.best_value_s = std::numeric_limits<double>::infinity();
   entry->enqueued_at = std::chrono::steady_clock::now();
-  bool cancel_now = false;
-  {
-    std::scoped_lock lock(mutex_);
-    sessions_[id] = entry;
-    // A cancelling shutdown may have swept sessions_ while the spec was
-    // being written; catch this late-inserted entry up with the sweep.
-    if (cancel_all_) {
-      entry->cancel.store(true, std::memory_order_relaxed);
-      cancel_now = true;
-    }
-  }
-  if (cancel_now && entry->bridge) entry->bridge->request_cancel();
   result.admitted = true;
   result.id = id;
   obs::count("service.admission.accepted");
-  // Emitted before the pool submit so this session's event stream
-  // always opens accept → enter before the worker's queue.leave.
+  // Emitted before the start step is queued, so this session's event
+  // stream always opens accept → enter before the step's queue.leave.
   events_.emit(id, "admission.accept", fixed_id != 0 ? "readmission" : "");
   events_.emit(id, "queue.enter");
-  if (entry->bridge) {
-    // Ask/tell sessions get a dedicated thread, never a pool worker or a
-    // turnstile slice: they spend their life parked in exchange() waiting
-    // on remote executors, so a pool slot would cap concurrent external
-    // sessions at max_live and let idle leases starve compute-bound
-    // internal sessions.
-    std::thread runner([this, entry] { run_entry(entry); });
-    std::scoped_lock lock(mutex_);
-    external_threads_.push_back(std::move(runner));
-  } else {
-    pool_.submit([this, entry] { run_entry(entry); });
+  std::scoped_lock lock(mutex_);
+  sessions_[id] = entry;
+  // A cancelling shutdown may have swept sessions_ while the spec was
+  // being written; catch this late-inserted entry up with the sweep.
+  if (cancel_all_) entry->cancel.store(true, std::memory_order_relaxed);
+  const std::size_t workers = std::max<std::size_t>(1, options_.max_live);
+  if (entry->bridge == nullptr && live_internal_ == workers) {
+    entry->stepping = true;  // owned by the scheduler from here on
+    waiting_.push_back(entry);
+    return result;
   }
+  if (entry->bridge == nullptr) ++live_internal_;
+  if (entry->bridge != nullptr && external_pool_ == nullptr) {
+    external_pool_ = std::make_unique<ThreadPool>(workers);
+  }
+  submit_step_locked(entry);
   return result;
 }
 
-void SessionManager::run_entry(const std::shared_ptr<Entry>& entry) {
+void SessionManager::submit_step_locked(const std::shared_ptr<Entry>& entry) {
+  entry->stepping = true;
+  ThreadPool& pool =
+      entry->bridge != nullptr ? *external_pool_ : step_pool_;
+  pool.submit([this, entry] { run_step(entry); });
+}
+
+void SessionManager::wake_locked(const std::shared_ptr<Entry>& entry) {
+  if (terminal(entry->state)) return;
+  if (entry->stepping) {
+    entry->rewake = true;
+    return;
+  }
+  submit_step_locked(entry);
+}
+
+void SessionManager::release_live_locked(const Entry& entry) {
+  if (entry.bridge != nullptr) return;
+  --live_internal_;
+  if (waiting_.empty()) return;
+  ++live_internal_;
+  submit_step_locked(waiting_.front());
+  waiting_.pop_front();
+}
+
+void SessionManager::run_step(const std::shared_ptr<Entry>& entry) {
+  // Every metric and span of the step (and of pool tasks it submits)
+  // lands under session/<id>/.
+  obs::ScopedSession scope(entry->id);
+  core::Step next = core::Step::kRound;
+  {
+    obs::Span span("session", "service");
+    if (entry->session != nullptr) {
+      next = entry->session->step();
+    } else if (!start_session(entry)) {
+      return;
+    }
+  }
+  if (next == core::Step::kDone) {
+    finish_session(entry, entry->session->finish());
+    return;
+  }
+  std::scoped_lock lock(mutex_);
+  if (next == core::Step::kAwait && !entry->rewake &&
+      !entry->cancel.load(std::memory_order_relaxed)) {
+    entry->stepping = false;  // until the resolving tell or a cancel
+    return;
+  }
+  // The tail of the FIFO queue: every other runnable session steps first.
+  entry->rewake = false;
+  submit_step_locked(entry);
+}
+
+bool SessionManager::start_session(const std::shared_ptr<Entry>& entry) {
   const double wait_ms = std::chrono::duration<double, std::milli>(
                              std::chrono::steady_clock::now() -
                              entry->enqueued_at)
                              .count();
-  if (entry->cancel.load(std::memory_order_relaxed)) {
-    // Cancelled while still queued: terminal without ever running. Journal
-    // the terminal event before committing the counters — drain() returns
-    // the moment the counters read zero and promises a complete journal.
-    events_.emit(entry->id, "queue.leave");
-    events_.emit(entry->id, "session.cancelled", "cancelled while queued");
-    obs::count("service.sessions.cancelled");
-    std::scoped_lock lock(mutex_);
-    --queued_;
-    ++cancelled_;
-    entry->state = SessionState::kCancelled;
-    entry->terminal_tick = now_tick_.load(std::memory_order_relaxed);
-    entry->queue_wait_ms = wait_ms;
-    sample_gauges_locked();
-    terminal_cv_.notify_all();
-    return;
-  }
+  const bool cancelled = entry->cancel.load(std::memory_order_relaxed);
   {
     std::scoped_lock lock(mutex_);
-    entry->state = SessionState::kRunning;
-    --queued_;
-    ++running_;
     entry->queue_wait_ms = wait_ms;
-    sample_gauges_locked();
+    if (!cancelled) {
+      entry->state = SessionState::kRunning;
+      --queued_;
+      ++running_;
+      sample_gauges_locked();
+    }
   }
-  obs::metrics().observe("runtime.service.queue.wait_ms",
-                         entry->queue_wait_ms, queue_wait_buckets_ms());
   events_.emit(entry->id, "queue.leave");
+  core::SessionOutcome failed;
+  if (cancelled) {
+    // Cancelled while still queued: terminal without ever running.
+    failed.interrupted = true;
+    finish_session(entry, std::move(failed));
+    return false;
+  }
+  obs::metrics().observe("runtime.service.queue.wait_ms", wait_ms,
+                         queue_wait_buckets_ms());
   events_.emit(entry->id, "session.running");
-  // Scope every metric and span of this session (and of its private
-  // evaluation pool — ThreadPool::submit propagates the scope) under
-  // session/<id>/.
-  obs::ScopedSession scope(entry->id);
   obs::count("service.sessions.started");
-  const std::uint64_t id = entry->id;
-  const bool external = entry->bridge != nullptr;
-  // External sessions skip the turnstile entirely (see admit): no slice
-  // to enter, no yield hook — their round boundaries are client-paced.
-  if (!external) turnstile_.enter(id);
 
-  core::SessionOutcome outcome;
-  try {
-    std::string create_error;
-    if (auto session = core::SessionFactory::create(entry->spec,
-                                                    &create_error)) {
-      if (external) session->attach_external(entry->bridge.get());
-      outcome = session->run(
-          &entry->cancel,
-          external ? std::function<void()>{}
-                   : std::function<void()>([this, id] {
-                       turnstile_.yield(id);
-                     }),
-          [this, entry](const core::SessionProgress& p) {
-            std::scoped_lock lock(mutex_);
-            entry->progress = p;
-          });
-    } else {
-      outcome.error = create_error;
+  core::Session::Hooks hooks;
+  hooks.cancel = &entry->cancel;
+  hooks.progress = [this, e = entry.get()](const core::SessionProgress& p) {
+    std::scoped_lock lock(mutex_);
+    e->progress = p;
+  };
+  hooks.write_failed = [this, id = entry->id](const std::string& path) {
+    events_.emit(id, "journal.write_failed", path);
+  };
+  hooks.external = entry->bridge.get();
+  try {  // one session's failure must never wedge the fleet
+    entry->session = core::SessionFactory::create(entry->spec, &failed.error);
+    if (entry->session != nullptr) {
+      entry->session->begin(std::move(hooks));  // errors wait for finish
+      return true;
     }
   } catch (const std::exception& e) {
-    // One session's failure must never wedge the fleet: record it and
-    // keep the worker (and the turnstile slice accounting) healthy.
-    outcome.error = e.what();
+    failed.error = e.what();
   }
-  if (!external) turnstile_.leave();
-  // Terminal: stop granting leases.  tell() keeps answering late
-  // duplicate observes from the bridge's recorded-ack ledger.
-  if (external) entry->bridge->close();
+  finish_session(entry, std::move(failed));
+  return false;
+}
 
+void SessionManager::finish_session(const std::shared_ptr<Entry>& entry,
+                                    core::SessionOutcome outcome) {
+  entry->session.reset();
+  const std::uint64_t id = entry->id;
+  // Only this session's own steps write its state.
+  const bool queued = entry->state == SessionState::kQueued;
   const SessionState state = !outcome.ok() ? SessionState::kFailed
                              : outcome.interrupted
                                  ? SessionState::kCancelled
@@ -322,7 +303,7 @@ void SessionManager::run_entry(const std::shared_ptr<Entry>& entry) {
   // Emit the terminal event and outcome counter BEFORE committing the state
   // transition: drain() returns as soon as the counters read zero, and its
   // contract is that the journal then contains every terminal event. Per-id
-  // event order is safe — this thread is the only writer for this session.
+  // event order is safe — a session's steps never run concurrently.
   obs::count(state == SessionState::kDone     ? "service.sessions.done"
              : state == SessionState::kFailed ? "service.sessions.failed"
                                               : "service.sessions.cancelled");
@@ -330,33 +311,24 @@ void SessionManager::run_entry(const std::shared_ptr<Entry>& entry) {
                state == SessionState::kDone     ? "session.done"
                : state == SessionState::kFailed ? "session.failed"
                                                 : "session.cancelled",
-               outcome.error);
-  {
-    std::scoped_lock lock(mutex_);
-    --running_;
-    switch (state) {
-      case SessionState::kDone:
-        ++done_;
-        break;
-      case SessionState::kFailed:
-        ++failed_;
-        break;
-      default:
-        ++cancelled_;
-        break;
-    }
-    entry->state = state;
-    entry->terminal_tick = now_tick_.load(std::memory_order_relaxed);
-    entry->error = outcome.error;
-    entry->resumed = outcome.resumed;
-    entry->replayed = outcome.replayed;
-    entry->journal_recovered = outcome.journal_recovered;
-    sample_gauges_locked();
-    // Notify under the lock: once drain() observes the counters at zero
-    // the manager may be destroyed, so an after-unlock notify could hit
-    // a dead condition variable.
-    terminal_cv_.notify_all();
-  }
+               queued ? "cancelled while queued" : outcome.error);
+  std::scoped_lock lock(mutex_);
+  --(queued ? queued_ : running_);
+  ++(state == SessionState::kDone     ? done_
+     : state == SessionState::kFailed ? failed_
+                                      : cancelled_);
+  entry->state = state;
+  entry->terminal_tick = now_tick_.load(std::memory_order_relaxed);
+  entry->error = outcome.error;
+  entry->resumed = outcome.resumed;
+  entry->replayed = outcome.replayed;
+  entry->journal_recovered = outcome.journal_recovered;
+  release_live_locked(*entry);
+  sample_gauges_locked();
+  // Notify under the lock: once drain() observes the counters at zero
+  // the manager may be destroyed, so an after-unlock notify could hit
+  // a dead condition variable.
+  terminal_cv_.notify_all();
 }
 
 bool SessionManager::cancel(std::uint64_t id, std::string* error) {
@@ -366,7 +338,6 @@ bool SessionManager::cancel(std::uint64_t id, std::string* error) {
     if (error != nullptr) *error = why;
     return false;
   }
-  std::shared_ptr<core::ExternalBridge> bridge;
   {
     std::scoped_lock lock(mutex_);
     if (terminal(entry->state)) {
@@ -376,20 +347,14 @@ bool SessionManager::cancel(std::uint64_t id, std::string* error) {
       return false;
     }
     entry->cancel.store(true, std::memory_order_relaxed);
-    bridge = entry->bridge;
+    // An ask/tell session waiting for tells has no step queued to see
+    // the flag: step it now.
+    if (entry->bridge != nullptr) wake_locked(entry);
   }
-  // Wake an engine parked in an ask/tell exchange: the cancel flag is
-  // only polled at round boundaries, which an external session may never
-  // reach on its own.  Outside mutex_ — bridge calls take the bridge
-  // lock, whose journal flush re-enters the manager.
-  if (bridge != nullptr) bridge->request_cancel();
   // Tombstone the explicit cancel so a daemon restart keeps the session
-  // cancelled instead of resuming it (graceful shutdown, by contrast,
-  // leaves no tombstone — its sessions resume).  Written outside the
-  // manager lock: tombstone creation is idempotent and nothing else
-  // races it, so the fleet need not stall behind this disk write.  A
-  // tombstone that cannot be written surfaces: a restart would resume
-  // the session the client cancelled.
+  // cancelled (a graceful shutdown leaves none: its sessions resume).
+  // Idempotent, so written outside the lock.  A failed write surfaces: a
+  // restart would resume the session the client cancelled.
   std::FILE* f = std::fopen(tombstone_path(id).c_str(), "w");
   if (f == nullptr || std::fclose(f) != 0) {
     obs::count("service.cancel.tombstone_failures");
@@ -417,13 +382,12 @@ SessionStatus SessionManager::status_of(const Entry& e) {
   return s;
 }
 
-void SessionManager::fill_bridge_status(
-    SessionStatus& status,
-    const std::shared_ptr<core::ExternalBridge>& bridge) const {
-  if (bridge == nullptr) return;
-  const std::uint64_t now = now_tick_.load(std::memory_order_relaxed);
-  status.pending = bridge->pending();
-  status.leased = bridge->leased(now);
+void SessionManager::fill_bridge_status(SessionStatus& status,
+                                        const Entry& entry) const {
+  if (entry.bridge == nullptr) return;
+  status.pending = entry.bridge->pending();
+  status.leased =
+      entry.bridge->leased(now_tick_.load(std::memory_order_relaxed));
 }
 
 std::optional<SessionStatus> SessionManager::status(std::uint64_t id) {
@@ -431,13 +395,11 @@ std::optional<SessionStatus> SessionManager::status(std::uint64_t id) {
   const auto entry = find_or_rehydrate(id, &ignored);
   if (entry == nullptr) return std::nullopt;
   SessionStatus s;
-  std::shared_ptr<core::ExternalBridge> bridge;
   {
     std::scoped_lock lock(mutex_);
     s = status_of(*entry);
-    bridge = entry->bridge;
   }
-  fill_bridge_status(s, bridge);
+  fill_bridge_status(s, *entry);
   return s;
 }
 
@@ -452,7 +414,7 @@ ServiceStatus SessionManager::service_status() const {
   s.accepting = accepting_;
   s.max_live = options_.max_live;
   s.max_pending = options_.max_pending;
-  s.slots = options_.slots == 0 ? options_.max_live : options_.slots;
+  s.slots = step_pool_.size();
   s.reclaimed = reclaimed_;
   s.evicted = evicted_done_ + evicted_cancelled_;
   return s;
@@ -462,23 +424,12 @@ ServiceStatus SessionManager::recount_status() const {
   std::scoped_lock lock(mutex_);
   ServiceStatus s;
   for (const auto& [id, entry] : sessions_) {
-    switch (entry->state) {
-      case SessionState::kQueued:
-        ++s.queued;
-        break;
-      case SessionState::kRunning:
-        ++s.running;
-        break;
-      case SessionState::kDone:
-        ++s.done;
-        break;
-      case SessionState::kCancelled:
-        ++s.cancelled;
-        break;
-      case SessionState::kFailed:
-        ++s.failed;
-        break;
-    }
+    const SessionState state = entry->state;
+    ++(state == SessionState::kQueued      ? s.queued
+       : state == SessionState::kRunning   ? s.running
+       : state == SessionState::kDone      ? s.done
+       : state == SessionState::kCancelled ? s.cancelled
+                                           : s.failed);
   }
   // The incremental counters are lifetime counts; evicted terminal
   // sessions left the map without decrementing them, so the scan twin
@@ -488,7 +439,7 @@ ServiceStatus SessionManager::recount_status() const {
   s.accepting = accepting_;
   s.max_live = options_.max_live;
   s.max_pending = options_.max_pending;
-  s.slots = options_.slots == 0 ? options_.max_live : options_.slots;
+  s.slots = step_pool_.size();
   s.reclaimed = reclaimed_;
   s.evicted = evicted_done_ + evicted_cancelled_;
   return s;
@@ -496,20 +447,18 @@ ServiceStatus SessionManager::recount_status() const {
 
 std::vector<SessionStatus> SessionManager::list_sessions() const {
   std::vector<SessionStatus> out;
-  std::vector<std::shared_ptr<core::ExternalBridge>> bridges;
+  std::vector<std::shared_ptr<Entry>> entries;
   {
     std::scoped_lock lock(mutex_);
-    out.reserve(sessions_.size());
-    bridges.reserve(sessions_.size());
     // std::map iteration: ascending id order by construction.
     for (const auto& [id, entry] : sessions_) {
       out.push_back(status_of(*entry));
-      bridges.push_back(entry->bridge);
+      entries.push_back(entry);
     }
   }
   // Bridge gauges read outside mutex_ (lock order: bridge → manager).
   for (std::size_t i = 0; i < out.size(); ++i) {
-    fill_bridge_status(out[i], bridges[i]);
+    fill_bridge_status(out[i], *entries[i]);
   }
   return out;
 }
@@ -542,25 +491,8 @@ std::shared_ptr<SessionManager::Entry> SessionManager::find_or_rehydrate(
     return nullptr;
   }
   core::SessionCheckpoint state;
-  try {
-    if (load_session_file(journal_path(id), state,
-                          core::LoadMode::kRecover)) {
-      core::canonicalize_journal(state);
-    }
-  } catch (const std::exception& e) {
-    if (error != nullptr) {
-      *error = std::string("journal unreadable: ") + e.what();
-    }
-    return nullptr;
-  }
-  auto entry = std::make_shared<Entry>();
-  entry->id = id;
-  entry->spec = spec;
-  entry->spec.checkpoint_path = journal_path(id);
-  entry->spec.sync = options_.sync;
-  entry->state = evicted_state;
-  entry->progress = core::progress_of(state);
-  entry->terminal_tick = now_tick_.load(std::memory_order_relaxed);
+  if (!load_journal(id, state, error)) return nullptr;
+  const auto entry = terminal_entry(id, spec, state, evicted_state);
   {
     std::scoped_lock lock(mutex_);
     const auto it = sessions_.find(id);
@@ -568,14 +500,49 @@ std::shared_ptr<SessionManager::Entry> SessionManager::find_or_rehydrate(
     // Back in the map: reverse the eviction bookkeeping.  The lifetime
     // counters were never decremented, so nothing to re-add.
     evicted_.erase(id);
-    if (evicted_state == SessionState::kDone) {
-      --evicted_done_;
-    } else {
-      --evicted_cancelled_;
-    }
+    --(evicted_state == SessionState::kDone ? evicted_done_
+                                            : evicted_cancelled_);
     sessions_[id] = entry;
   }
   obs::count("service.sessions.rehydrated");
+  return entry;
+}
+
+bool SessionManager::load_journal(std::uint64_t id,
+                                  core::SessionCheckpoint& state,
+                                  std::string* error) const {
+  try {
+    if (load_session_file(journal_path(id), state,
+                          core::LoadMode::kRecover)) {
+      core::canonicalize_journal(state);
+    }
+    return true;
+  } catch (const std::exception& e) {
+    if (error != nullptr) {
+      *error = std::string("journal unreadable: ") + e.what();
+    }
+    return false;
+  }
+}
+
+std::shared_ptr<SessionManager::Entry> SessionManager::terminal_entry(
+    std::uint64_t id, const core::SessionSpec& spec,
+    const core::SessionCheckpoint& state, SessionState terminal_state) {
+  auto entry = std::make_shared<Entry>();
+  entry->id = id;
+  entry->spec = spec;
+  entry->spec.checkpoint_path = journal_path(id);
+  entry->spec.sync = options_.sync;
+  entry->state = terminal_state;
+  entry->progress = core::progress_of(state);
+  entry->terminal_tick = now_tick_.load(std::memory_order_relaxed);
+  if (spec.mode == "external") {
+    // Late executor retries still get truthful answers from the
+    // journaled ack ledger.
+    entry->bridge = std::make_shared<core::ExternalBridge>();
+    entry->bridge->restore(state);
+    entry->bridge->close();
+  }
   return entry;
 }
 
@@ -590,8 +557,11 @@ void SessionManager::sample_gauges_locked() {
                  static_cast<double>(cancelled_));
   obs::set_gauge("runtime.service.sessions.failed",
                  static_cast<double>(failed_));
-  obs::set_gauge("runtime.service.pool.busy",
-                 static_cast<double>(pool_.size() - pool_.idle_workers()));
+  std::size_t busy = step_pool_.size() - step_pool_.idle_workers();
+  if (external_pool_ != nullptr) {
+    busy += external_pool_->size() - external_pool_->idle_workers();
+  }
+  obs::set_gauge("runtime.service.pool.busy", static_cast<double>(busy));
 }
 
 SessionManager::SuggestResult SessionManager::suggest(std::uint64_t id) {
@@ -614,12 +584,11 @@ SessionManager::SuggestResult SessionManager::suggest(std::uint64_t id) {
 SessionManager::CheckpointResult SessionManager::checkpoint(
     std::uint64_t id) {
   CheckpointResult result;
-  std::size_t evaluations = 0;
+  const auto entry = find_or_rehydrate(id, &result.error);
+  if (entry == nullptr) return result;
   {
-    const auto entry = find_or_rehydrate(id, &result.error);
-    if (entry == nullptr) return result;
     std::scoped_lock lock(mutex_);
-    evaluations = entry->progress.evaluations;
+    result.evaluations = entry->progress.evaluations;
   }
   // The journal is already flushed after every evaluation; the verb adds
   // the durability barrier (fsync file + directory) that the default
@@ -630,7 +599,6 @@ SessionManager::CheckpointResult SessionManager::checkpoint(
   sync_path(options_.root);
   result.ok = true;
   result.journal_path = path;
-  result.evaluations = evaluations;
   return result;
 }
 
@@ -638,17 +606,9 @@ SessionManager::ObserveResult SessionManager::observe(
     std::uint64_t id, std::uint64_t from, std::uint64_t limit) {
   ObserveResult result;
   if (find_or_rehydrate(id, &result.error) == nullptr) return result;
+  // A corrupt journal must not take the daemon down with the request.
   core::SessionCheckpoint state;
-  try {
-    if (load_session_file(journal_path(id), state,
-                          core::LoadMode::kRecover)) {
-      core::canonicalize_journal(state);
-    }
-  } catch (const std::exception& e) {
-    // A corrupt journal must not take the daemon down with the request.
-    result.error = std::string("journal unreadable: ") + e.what();
-    return result;
-  }
+  if (!load_journal(id, state, &result.error)) return result;
   result.ok = true;
   result.total = state.evaluations.size();
   for (const auto& record : state.evaluations) {
@@ -668,22 +628,15 @@ SessionManager::AskResult SessionManager::ask(std::uint64_t id,
     result.error = "session is not in ask/tell (external) mode";
     return result;
   }
-  // The bridge pointer is written once before the entry is published and
-  // never reassigned, so it is safe to read without mutex_.
   const auto bridge = entry->bridge;
-  if (bridge == nullptr) {
-    // Rehydrated terminal session: nothing will ever be pending again.
-    result.ok = true;
-    return result;
-  }
   const std::uint64_t now = now_tick_.load(std::memory_order_relaxed);
   result.grants = bridge->lease(std::max<std::size_t>(1, max_count), now,
                                 options_.lease_timeout_ticks);
   result.pending = bridge->pending();
   result.leased = bridge->leased(now);
   result.ok = true;
-  for (std::size_t i = 0; i < result.grants.size(); ++i) {
-    obs::count("service.leases.granted");
+  if (!result.grants.empty()) {
+    obs::count("service.leases.granted", result.grants.size());
   }
   return result;
 }
@@ -711,36 +664,15 @@ SessionManager::TellResult SessionManager::tell(
     obs::count("service.observe.chaos_dropped");
     return result;
   }
-  const auto bridge = entry->bridge;
-  core::ExternalBridge::TellResult verdict;
-  if (bridge != nullptr) {
-    verdict = bridge->tell(index, observation);
-    if (verdict.verdict == core::TellVerdict::kAccepted &&
-        chaos::fail(chaos::Site::kObserveDelivery)) {
-      obs::count("service.observe.chaos_duplicated");
-      bridge->tell(index, observation);
-    }
-  } else {
-    // Evicted-then-rehydrated terminal session: the bridge is gone, but
-    // the journaled ack ledger still answers late executor retries
-    // truthfully.
-    core::SessionCheckpoint state;
-    try {
-      load_session_file(journal_path(id), state, core::LoadMode::kRecover);
-      core::canonicalize_journal(state);
-    } catch (const std::exception& e) {
-      result.error = std::string("journal unreadable: ") + e.what();
-      return result;
-    }
-    verdict.verdict = core::TellVerdict::kUnknown;
-    for (const auto& ack : state.observe_acks) {
-      if (ack.index != index) continue;
-      verdict.recorded = {ack.value_s, ack.cost_s, ack.status};
-      verdict.verdict = core::same_observation(verdict.recorded, observation)
-                            ? core::TellVerdict::kDuplicate
-                            : core::TellVerdict::kConflict;
-      break;
-    }
+  const auto verdict = entry->bridge->tell(index, observation);
+  if (verdict.resolved) {
+    std::scoped_lock lock(mutex_);
+    wake_locked(entry);
+  }
+  if (verdict.verdict == core::TellVerdict::kAccepted &&
+      chaos::fail(chaos::Site::kObserveDelivery)) {
+    obs::count("service.observe.chaos_duplicated");
+    entry->bridge->tell(index, observation);
   }
   result.verdict = verdict.verdict;
   result.recorded = verdict.recorded;
@@ -773,20 +705,18 @@ std::size_t SessionManager::tick() {
   // Reaper sweep: collect the live ask/tell bridges under the lock, reap
   // outside it — reap() journals the expiries, and the journal flush
   // re-enters the manager through the progress callback.
-  std::vector<std::pair<std::shared_ptr<Entry>,
-                        std::shared_ptr<core::ExternalBridge>>>
-      live;
+  std::vector<std::shared_ptr<Entry>> live;
   {
     std::scoped_lock lock(mutex_);
     for (const auto& [id, entry] : sessions_) {
       if (entry->bridge != nullptr && !terminal(entry->state)) {
-        live.emplace_back(entry, entry->bridge);
+        live.push_back(entry);
       }
     }
   }
   std::size_t reclaimed = 0;
-  for (const auto& [entry, bridge] : live) {
-    const auto expiries = bridge->reap(now);
+  for (const auto& entry : live) {
+    const auto expiries = entry->bridge->reap(now);
     if (expiries.empty()) continue;
     reclaimed += expiries.size();
     for (const auto& expiry : expiries) {
@@ -797,10 +727,7 @@ std::size_t SessionManager::tick() {
     }
     std::scoped_lock lock(mutex_);
     entry->reclaimed += expiries.size();
-  }
-  if (reclaimed != 0) {
-    std::scoped_lock lock(mutex_);
-    reclaimed_ += reclaimed;
+    reclaimed_ += expiries.size();
   }
   // Terminal-TTL eviction: done/cancelled entries past the TTL leave the
   // map; their terminal state moves to the eviction ledger so later
@@ -818,11 +745,7 @@ std::size_t SessionManager::tick() {
         continue;
       }
       evicted_[it->first] = e.state;
-      if (e.state == SessionState::kDone) {
-        ++evicted_done_;
-      } else {
-        ++evicted_cancelled_;
-      }
+      ++(e.state == SessionState::kDone ? evicted_done_ : evicted_cancelled_);
       obs::count("service.sessions.evicted");
       it = sessions_.erase(it);
     }
@@ -884,43 +807,26 @@ FleetRecovery SessionManager::recover_fleet() {
         static_cast<int>(state.evaluations.size()) >= spec.budget;
     if (tombstoned || complete) {
       // Terminal on disk: re-register without re-running.
-      auto entry = std::make_shared<Entry>();
-      entry->id = id;
-      entry->spec = spec;
-      entry->spec.checkpoint_path = journal_path(id);
-      entry->spec.sync = options_.sync;
-      entry->state =
-          tombstoned ? SessionState::kCancelled : SessionState::kDone;
-      entry->terminal_tick = now_tick_.load(std::memory_order_relaxed);
-      entry->progress = core::progress_of(state);
+      const auto entry = terminal_entry(
+          id, spec, state,
+          tombstoned ? SessionState::kCancelled : SessionState::kDone);
       {
         std::scoped_lock lock(mutex_);
         sessions_[id] = entry;
         next_id_ = std::max(next_id_, id + 1);
-        if (tombstoned) {
-          ++cancelled_;
-        } else {
-          ++done_;
-        }
+        ++(tombstoned ? cancelled_ : done_);
         sample_gauges_locked();
       }
       events_.emit(id, tombstoned ? "recovery.cancelled"
                                   : "recovery.completed");
-      if (tombstoned) {
-        ++recovery.cancelled;
-      } else {
-        ++recovery.completed;
-      }
+      ++(tombstoned ? recovery.cancelled : recovery.completed);
       continue;
     }
     // Incomplete: re-admit with resume+recover so the journal prefix
-    // replays and the session continues exactly where it died.
-    // Re-admission bypasses the max_pending backpressure check (the
-    // pre-crash fleet was already admitted), so a rejection here is an
-    // operational failure — shutdown racing recovery, an unwritable
-    // root — never evidence of corruption.  Quarantine is reserved for
-    // corrupt files; a healthy session that cannot be re-admitted keeps
-    // its spec and journal in place and is reported instead.
+    // replays and the session continues exactly where it died.  A
+    // rejection here (re-admission bypasses max_pending) is operational —
+    // shutdown racing recovery, an unwritable root — never corruption:
+    // the files stay in place and the session is reported.
     spec.resume = true;
     spec.recover = true;
     // Emitted before admit() so the logical stream of a resumed session
@@ -947,25 +853,18 @@ void SessionManager::quarantine(std::uint64_t id, FleetRecovery& recovery) {
   const std::string dir = options_.root + "/quarantine";
   std::error_code ec;
   fs::create_directories(dir, ec);
+  std::string moved;  // the file names, for the event
   for (const std::string& path :
        {spec_path(id), journal_path(id), tombstone_path(id)}) {
     if (!fs::exists(path, ec)) continue;
-    const std::string target =
-        dir + "/" + fs::path(path).filename().string();
-    fs::rename(path, target, ec);
-    if (!ec) recovery.quarantined_files.push_back(target);
+    const std::string name = fs::path(path).filename().string();
+    fs::rename(path, dir + "/" + name, ec);
+    if (ec) continue;
+    recovery.quarantined_files.push_back(dir + "/" + name);
+    moved += (moved.empty() ? "" : " ") + name;
   }
   ++recovery.quarantined;
   obs::count("service.sessions.quarantined");
-  std::string moved;
-  for (const std::string& target : recovery.quarantined_files) {
-    if (fs::path(target).string().find("session-" + std::to_string(id) +
-                                       ".") == std::string::npos) {
-      continue;
-    }
-    if (!moved.empty()) moved += " ";
-    moved += fs::path(target).filename().string();
-  }
   events_.emit(id, "recovery.quarantined", moved);
 }
 
@@ -975,37 +874,20 @@ void SessionManager::drain() {
 }
 
 void SessionManager::shutdown(bool cancel_live) {
-  std::vector<std::shared_ptr<core::ExternalBridge>> to_wake;
   {
     std::scoped_lock lock(mutex_);
     accepting_ = false;
     if (cancel_live) {
       cancel_all_ = true;
       for (const auto& [id, entry] : sessions_) {
-        if (!terminal(entry->state)) {
-          entry->cancel.store(true, std::memory_order_relaxed);
-          if (entry->bridge != nullptr) to_wake.push_back(entry->bridge);
-        }
+        if (terminal(entry->state)) continue;
+        entry->cancel.store(true, std::memory_order_relaxed);
+        // Ask/tell sessions waiting for tells step once more, to stop.
+        if (entry->bridge != nullptr) wake_locked(entry);
       }
     }
   }
-  // Outside mutex_ (lock order: bridge → manager).  Engines parked in an
-  // ask/tell exchange never reach a round boundary on their own, so the
-  // cancel sweep must wake them explicitly.
-  for (const auto& bridge : to_wake) bridge->request_cancel();
   drain();
-  // Runner threads decrement the terminal counters just before they
-  // unwind, so drain() can return a beat ahead of thread exit — join
-  // picks up the tail.  Safe to run twice (destructor after an explicit
-  // shutdown): the vector was swapped out the first time.
-  std::vector<std::thread> runners;
-  {
-    std::scoped_lock lock(mutex_);
-    runners.swap(external_threads_);
-  }
-  for (std::thread& runner : runners) {
-    if (runner.joinable()) runner.join();
-  }
 }
 
 }  // namespace robotune::service

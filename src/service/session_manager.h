@@ -1,57 +1,46 @@
 // Tuning-as-a-service: a SessionManager owns a fleet of concurrent
-// tuning sessions multiplexed over a robotune::ThreadPool (DESIGN.md §13).
+// tuning sessions (DESIGN.md §13).
 //
-// Each admitted session is the full existing stack — RoboTune's BO
-// engine with the degradation ladder, the batch-evaluation scheduler
-// with racing/deadlines, the crash-safe v3 journal — assembled by
-// core::SessionFactory exactly as `robotune_cli` assembles a standalone
-// run.  Sessions are fully independent (no shared selection cache or
-// memo buffer): a daemon-hosted session with spec S produces a journal
-// byte-identical to `robotune_cli` running S, regardless of how many
-// sessions run beside it or how many workers the manager has.
+// Each admitted session is the full stack core::SessionFactory assembles
+// for `robotune_cli`, fully independent of its neighbours (no shared
+// selection cache or memo buffer): a hosted session with spec S writes
+// the journal `robotune_cli` writes for S, byte for byte, whatever runs
+// beside it and however many workers step it.
 //
-// Admission control: at most `max_live` sessions run concurrently (the
-// pool's worker count); up to `max_pending` more wait in FIFO order;
-// beyond that, start requests are rejected — backpressure, not an
-// unbounded queue.
+// Sessions are step machines the manager schedules — core::Session's
+// begin/step/finish, the code Session::run loops over: a start step
+// (checkpoint, parameter selection, engine start), one step per round,
+// and a finish step (canonical journal re-flush, memo store).  No thread
+// ever waits inside a session.
 //
-// Fair scheduling: a turnstile grants `slots` compute slices; running
-// sessions yield at every round boundary (the Tuner::set_pacing hook) and
-// re-queue FIFO, so CPU rotates round-robin among runnable sessions
-// instead of letting the first admitted session run to completion.
-// The turnstile only re-orders *wall-clock* interleaving; per-session
-// results and journal bytes do not depend on slots or worker count.
+// Internal sessions: at most `max_live` are live; up to `max_pending`
+// more wait FIFO, and further starts are rejected (backpressure).  Every
+// step is one task on a pool of `slots` workers and a session re-queues
+// at the tail after each round, so the pool's FIFO queue rotates the CPU
+// round-robin among runnable sessions.  That re-orders wall-clock time
+// only, never results or journal bytes.
 //
-// Durability: every session journals into `<root>/session-<id>.journal`
-// with its spec beside it in `<root>/session-<id>.spec`.  After a crash,
-// recover_fleet() rebuilds the whole fleet from disk: completed sessions
-// are re-registered as done, incomplete ones are re-admitted with
-// resume+recover (replaying their journal prefix), and a session whose
-// files are corrupt beyond recovery is quarantined into
-// `<root>/quarantine/` — one bad session never takes the daemon down.
-// Recovery re-admission bypasses the max_pending bound (backpressure
-// gates client start requests; the pre-crash fleet was already
-// admitted), and quarantine is strictly a corruption verdict: a healthy
-// session whose re-admission fails operationally keeps its files and is
-// reported in FleetRecovery::errors instead.
+// Ask/tell sessions (spec mode=external, DESIGN.md §16): `ask` leases
+// suggestions with tick deadlines, `tell` accepts observations
+// idempotently, and `tick()` (Server::set_tick; a virtual clock in
+// tests) reaps abandoned leases.  A round step publishes its suggestions
+// and returns; the session then holds no thread until the tell that
+// resolves the round, or a cancel, queues its next step on `max_live`
+// ask/tell workers of their own (created at the first ask/tell
+// admission).  An idle lease never starves internal sessions.
 //
-// Ask/tell sessions (spec mode=external, DESIGN.md §16): the manager
-// wraps the session's ExternalBridge in a lease ledger — `ask` hands
-// out suggestions under lease ids with tick deadlines, `tell` accepts
-// observations idempotently, and the `tick()` hook (driven by the
-// daemon's Server::set_tick, virtual-clock injectable in tests) reaps
-// abandoned leases back to the pending pool.  External sessions run on
-// dedicated threads, never on pool workers or the turnstile: they spend
-// their life parked waiting on remote executors, and parking them in a
-// pool slot would let an idle lease starve compute-bound internal
-// sessions (and cap concurrent external sessions at max_live).
+// Durability: `<root>/session-<id>.journal` and `.spec` per session.
+// recover_fleet() rebuilds the fleet after a crash: complete sessions
+// are re-registered as done, incomplete ones re-admitted with
+// resume+recover (bypassing max_pending: they were admitted before), and
+// a session corrupt beyond recovery is quarantined into
+// `<root>/quarantine/`.  Quarantine is strictly a corruption verdict; an
+// operational re-admission failure keeps the files and is reported.
 //
-// Terminal-TTL eviction (ROADMAP 5): with terminal_ttl_ticks set,
-// done/cancelled sessions leave the in-memory map after the TTL — spec
-// and journal stay on disk, and any later verb re-hydrates the entry on
-// demand — so a long-lived daemon's resident state tracks its *live*
-// fleet, not its lifetime history.  Failed sessions are never evicted:
-// their error string exists only in memory.
+// Terminal-TTL eviction: with terminal_ttl_ticks set, done/cancelled
+// sessions leave the in-memory map after the TTL (their files stay and
+// any later verb re-hydrates them), so resident state tracks the live
+// fleet.  Failed sessions stay: their error exists only in memory.
 #pragma once
 
 #include <atomic>
@@ -64,7 +53,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -80,13 +68,14 @@ struct ServiceOptions {
   /// Directory holding per-session spec/journal files (created if
   /// missing).  Required.
   std::string root;
-  /// Sessions running concurrently (= manager pool workers).
+  /// Internal sessions live at once, and the ask/tell workers: at most
+  /// this many ask/tell sessions compute (propose a round) at once.
   std::size_t max_live = 2;
   /// Admitted-but-not-yet-running sessions tolerated before start
   /// requests are rejected with "queue full".
   std::size_t max_pending = 8;
-  /// Concurrent compute slices granted by the turnstile; 0 = max_live
-  /// (no extra gating).  1 = strict round-robin time slicing.
+  /// Workers stepping internal sessions, capped at max_live; 0 = max_live.
+  /// 1 = strict round-robin time slicing.
   std::size_t slots = 0;
   /// Service seed: session seeds are derived from (this, session id)
   /// when a start request asks for derivation.
@@ -171,28 +160,6 @@ struct FleetRecovery {
   std::vector<std::string> errors;  ///< one line per failed session
 };
 
-/// FIFO turnstile: grants up to `slots` concurrent compute slices and
-/// rotates them round-robin among requesters at yield points.
-class Turnstile {
- public:
-  explicit Turnstile(std::size_t slots) : slots_(slots == 0 ? 1 : slots) {}
-
-  void enter(std::uint64_t id);
-  /// Round-boundary pacing: keeps the slice when nobody is waiting,
-  /// otherwise hands it to the longest-waiting session and re-queues.
-  void yield(std::uint64_t id);
-  void leave();
-
- private:
-  void wait_for_turn(std::unique_lock<std::mutex>& lock, std::uint64_t id);
-
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::size_t slots_;
-  std::size_t active_ = 0;
-  std::deque<std::uint64_t> waiting_;
-};
-
 class SessionManager {
  public:
   explicit SessionManager(ServiceOptions options);
@@ -213,7 +180,8 @@ class SessionManager {
   StartResult start(core::SessionSpec spec, bool derive_seed = false);
 
   /// Requests cooperative cancellation; the session stops at its next
-  /// round boundary with a resumable journal.  False: no such session.
+  /// round boundary with a resumable journal (an ask/tell session waiting
+  /// for tells stops at once).  False: no such session.
   bool cancel(std::uint64_t id, std::string* error = nullptr);
 
   std::optional<SessionStatus> status(std::uint64_t id);
@@ -336,10 +304,16 @@ class SessionManager {
     std::string error;
     std::chrono::steady_clock::time_point enqueued_at;
     double queue_wait_ms = 0.0;
-    /// Non-null for ask/tell sessions; created at admission, shared with
-    /// the dedicated runner thread, and kept after the session turns
-    /// terminal so late duplicate observes still ack idempotently.
+    /// Non-null for ask/tell sessions: set before the entry is published
+    /// (so read without mutex_) and kept after the session turns
+    /// terminal, so late duplicate observes still ack idempotently.
     std::shared_ptr<core::ExternalBridge> bridge;
+    /// From the start step to the finish step; only its steps touch it.
+    std::unique_ptr<core::Session> session;
+    /// False only while an ask/tell session waits for tells (no step
+    /// queued, running, or waiting for a live slot).
+    bool stepping = false;
+    bool rewake = false;  ///< woken while stepping: step again after
     /// tick() value when the session turned terminal (eviction clock).
     std::uint64_t terminal_tick = 0;
     std::uint64_t reclaimed = 0;  ///< leases the reaper expired
@@ -347,21 +321,39 @@ class SessionManager {
 
   StartResult admit(core::SessionSpec spec, bool derive_seed,
                     std::uint64_t fixed_id);
-  void run_entry(const std::shared_ptr<Entry>& entry);
+  /// One step (the start step first); then re-queue, park or finish.
+  void run_step(const std::shared_ptr<Entry>& entry);
+  /// False when the session turned terminal instead of starting.
+  bool start_session(const std::shared_ptr<Entry>& entry);
+  void finish_session(const std::shared_ptr<Entry>& entry,
+                      core::SessionOutcome outcome);
+  // The *_locked helpers run under mutex_.
+  void submit_step_locked(const std::shared_ptr<Entry>& entry);
+  /// Steps a parked ask/tell session, or marks a stepping one to rewake.
+  void wake_locked(const std::shared_ptr<Entry>& entry);
+  /// An internal session left the live set: start the next waiting one.
+  void release_live_locked(const Entry& entry);
   /// Looks the id up in the resident map, re-hydrating an evicted
   /// terminal session from its on-disk spec/journal if necessary.  Null
   /// (with `error` set) for ids that were never admitted or whose files
   /// turned unreadable.
   std::shared_ptr<Entry> find_or_rehydrate(std::uint64_t id,
                                            std::string* error);
+  /// Loads the session's journal (recover mode) in canonical order; a
+  /// missing journal is empty.  False, with `error` set, when corrupt.
+  bool load_journal(std::uint64_t id, core::SessionCheckpoint& state,
+                    std::string* error) const;
+  /// The entry of a session that is terminal on disk.
+  std::shared_ptr<Entry> terminal_entry(std::uint64_t id,
+                                        const core::SessionSpec& spec,
+                                        const core::SessionCheckpoint& state,
+                                        SessionState terminal_state);
   static SessionStatus status_of(const Entry& entry);
   /// Fills SessionStatus::pending/leased from the bridge.  Takes the
   /// bridge mutex, so it must be called WITHOUT mutex_ held (the
   /// bridge's journal flush re-enters the manager via the progress
   /// callback — lock order is bridge → manager, never the reverse).
-  void fill_bridge_status(SessionStatus& status,
-                          const std::shared_ptr<core::ExternalBridge>& bridge)
-      const;
+  void fill_bridge_status(SessionStatus& status, const Entry& entry) const;
   /// Re-samples the fleet gauges (queue depth, live/terminal counts,
   /// pool occupancy) — called at every state transition, under mutex_.
   void sample_gauges_locked();
@@ -369,8 +361,6 @@ class SessionManager {
   void quarantine(std::uint64_t id, FleetRecovery& recovery);
 
   ServiceOptions options_;
-  Turnstile turnstile_;
-  ThreadPool pool_;
   EventJournal events_;
   std::string events_error_;
   mutable std::mutex mutex_;
@@ -389,9 +379,9 @@ class SessionManager {
   /// Set by a cancelling shutdown so an admit() that reserved its slot
   /// before the sweep still sees the cancel when it inserts its entry.
   bool cancel_all_ = false;
-  /// Dedicated runner threads for ask/tell sessions (joined at
-  /// shutdown, after drain() has seen them reach a terminal state).
-  std::vector<std::thread> external_threads_;
+  std::size_t live_internal_ = 0;  ///< internal sessions started, not done
+  /// Internal sessions admitted while max_live were live, FIFO.
+  std::deque<std::shared_ptr<Entry>> waiting_;
   /// Virtual clock: advanced only by tick(), never by wall time.
   std::atomic<std::uint64_t> now_tick_{0};
   std::uint64_t reclaimed_ = 0;  ///< fleet-wide reaper expiries
@@ -402,6 +392,10 @@ class SessionManager {
   std::map<std::uint64_t, SessionState> evicted_;
   std::size_t evicted_done_ = 0;
   std::size_t evicted_cancelled_ = 0;
+  // The step pools come last, so they are destroyed (their workers
+  // joined) before any state a step touches.
+  ThreadPool step_pool_;  ///< internal sessions: `slots` workers
+  std::unique_ptr<ThreadPool> external_pool_;  ///< ask/tell: max_live
 };
 
 /// Shared request dispatcher: the in-process LocalClient and the socket

@@ -120,25 +120,21 @@ class Tuner {
   }
   exec::EvalScheduler* scheduler() const noexcept { return scheduler_; }
 
-  /// Cooperative pacing for sessions hosted by the service layer.
-  /// `cancel` (nullable) is polled at round boundaries: when set, the
-  /// tuner returns early with every completed evaluation kept in the
-  /// result.  `yield` (nullable) is invoked at the same boundaries so a
-  /// fair scheduler can slice CPU between concurrent sessions; it must
-  /// not mutate tuner-visible state — with a null/no-op yield the
-  /// session's results are unchanged.
+  /// Cooperative pacing for a tuner run to completion on one thread
+  /// (core::Session::run).  `cancel` (nullable) is polled at round
+  /// boundaries: when set, the tuner returns early with every completed
+  /// evaluation kept in the result.  `yield` (nullable) is invoked at the
+  /// same boundaries; it must not mutate tuner-visible state — with a
+  /// null/no-op yield the session's results are unchanged.
   void set_pacing(const std::atomic<bool>* cancel,
                   std::function<void()> yield) {
     cancel_ = cancel;
     yield_ = std::move(yield);
   }
-  const std::function<void()>& pacing_yield() const noexcept {
-    return yield_;
-  }
 
  protected:
-  /// Round-boundary pacing point: yields to the fair scheduler (if any),
-  /// then reports whether the session was cancelled.
+  /// Round-boundary pacing point: runs the yield hook (if any), then
+  /// reports whether the session was cancelled.
   bool paced_stop() const {
     if (yield_) yield_();
     return cancel_ != nullptr && cancel_->load(std::memory_order_relaxed);

@@ -608,7 +608,7 @@ TEST(ExternalSessionTest, SuggestAndObserveVerbsSpeakAskTell) {
   EXPECT_FALSE(response.ok);
   EXPECT_NE(response.error.find("bad status"), std::string::npos);
 
-  // Cancel unblocks the parked engine; the session lands terminal with
+  // Cancel stops the session waiting for tells; it lands terminal with
   // a resumable journal.
   service::Request cancel;
   cancel.verb = "cancel";
@@ -619,6 +619,77 @@ TEST(ExternalSessionTest, SuggestAndObserveVerbsSpeakAskTell) {
   const auto status = manager.status(id);
   ASSERT_TRUE(status.has_value());
   EXPECT_EQ(status->state, service::SessionState::kCancelled);
+}
+
+// ---- idle cancellation ---------------------------------------------------
+
+TEST(ExternalSessionTest, IdleSessionStopsWithoutTellsAndResumesTheRound) {
+  // A session waiting for tells holds no step: a cancel with no client
+  // traffic, and a cancelling shutdown, must still turn it terminal.
+  // The round's suggests and acks stay journaled, so a resume re-enters
+  // the same round.
+  const auto expect_round_journaled = [](const std::string& journal,
+                                         const core::LeaseGrant& acked,
+                                         const core::LeaseGrant& pending) {
+    core::SessionCheckpoint state;
+    ASSERT_TRUE(core::load_session_file(journal, state));
+    EXPECT_TRUE(state.evaluations.empty());
+    ASSERT_EQ(state.observe_acks.size(), 1u);
+    EXPECT_EQ(state.observe_acks[0].index, acked.index);
+    bool suggested = false;
+    for (const auto& s : state.suggests) {
+      suggested |= s.index == pending.index && s.unit == pending.unit;
+    }
+    EXPECT_TRUE(suggested) << "pending suggest " << pending.index;
+  };
+
+  // An explicit cancel.
+  {
+    TempDir dir("idle-cancel");
+    service::ServiceOptions options;
+    options.root = dir.path();
+    options.max_live = 1;
+    service::SessionManager manager(options);
+    const auto started = manager.start(external_spec(29, 6, 2));
+    ASSERT_TRUE(started.admitted) << started.error;
+    const auto round = wait_for_grants(manager, started.id, 2);
+    tell_all(manager, started.id, {round[0]});
+    std::string why;
+    ASSERT_TRUE(manager.cancel(started.id, &why)) << why;
+    wait_for_state(manager, started.id, service::SessionState::kCancelled);
+    expect_round_journaled(manager.journal_path(started.id), round[0],
+                           round[1]);
+  }
+
+  // A cancelling shutdown, then a restart into the same round.
+  TempDir dir("idle-shutdown");
+  service::ServiceOptions options;
+  options.root = dir.path();
+  options.max_live = 1;
+  std::uint64_t id = 0;
+  std::vector<core::LeaseGrant> round;
+  {
+    service::SessionManager manager(options);
+    const auto started = manager.start(external_spec(30, 6, 2));
+    ASSERT_TRUE(started.admitted) << started.error;
+    id = started.id;
+    round = wait_for_grants(manager, id, 2);
+    tell_all(manager, id, {round[0]});
+    manager.shutdown(/*cancel_live=*/true);
+    const auto status = manager.status(id);
+    ASSERT_TRUE(status.has_value());
+    EXPECT_EQ(status->state, service::SessionState::kCancelled);
+    expect_round_journaled(manager.journal_path(id), round[0], round[1]);
+  }
+  service::SessionManager manager(options);
+  EXPECT_EQ(manager.recover_fleet().readmitted, 1u);
+  const auto regrants = wait_for_grants(manager, id, 1);
+  ASSERT_EQ(regrants.size(), 1u);
+  EXPECT_EQ(regrants[0].index, round[1].index);
+  EXPECT_EQ(regrants[0].unit, round[1].unit);
+  tell_all(manager, id, regrants);
+  drive_to_completion(manager, id);
+  wait_for_state(manager, id, service::SessionState::kDone);
 }
 
 // ---- spec validation -----------------------------------------------------

@@ -1,12 +1,13 @@
 // Tier-1 service-layer suite (DESIGN.md §13): wire protocol framing,
-// spec codec, admission control, fair scheduling, cancellation, and
-// fleet-wide crash recovery.
+// spec codec, admission control, fair scheduling, cancellation, journal
+// write failures, thread-free ask/tell sessions, and fleet-wide crash
+// recovery.
 //
 // The determinism contract under test is the strongest one the daemon
 // makes: a hosted session's journal is byte-identical to a standalone
 // `robotune_cli`-style run of the same spec, regardless of how many
-// sessions run beside it, how many pool workers the manager has, or how
-// many turnstile slots rotate the CPU — and after a crash, every
+// sessions run beside it or how many workers step them — and after a
+// crash, every
 // recovered session finishes with exactly the bytes an uninterrupted
 // run would have produced.
 #include <gtest/gtest.h>
@@ -26,9 +27,13 @@
 #include <utility>
 #include <vector>
 
+#include "common/chaos.h"
+#include "common/thread_pool.h"
+#include "core/external.h"
 #include "core/persistence.h"
 #include "core/session.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "service/client.h"
 #include "service/events.h"
 #include "service/protocol.h"
@@ -1048,25 +1053,240 @@ TEST(ServiceEvictionTest, ThousandTerminalSessionsEvictToDiskAndRehydrate) {
   EXPECT_EQ(incremental.evicted, recount.evicted);
 }
 
-TEST(ServiceTurnstileTest, YieldRotatesFifoWithoutSelfDeadlock) {
-  // A lone session yields without blocking (keeps its slice), and two
-  // sessions on one slot hand the CPU back and forth in FIFO order.
-  service::Turnstile turnstile(1);
-  turnstile.enter(1);
-  turnstile.yield(1);  // nobody waiting: must not block
-  std::atomic<int> entered{0};
-  std::thread second([&] {
-    turnstile.enter(2);
-    entered.store(1);
-    turnstile.leave();
-  });
-  // The second session is parked until the first yields.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(entered.load(), 0);
-  turnstile.yield(1);  // hands the slice to session 2, re-queues FIFO
-  second.join();
-  EXPECT_EQ(entered.load(), 1);
-  turnstile.leave();
+TEST(ServiceSchedulingTest, OneSlotAlternatesRoundsOfRunnableSessions) {
+  // Two internal sessions on one slot: each round is one pool task and a
+  // session re-queues at the tail after every round, so the two hand the
+  // worker back and forth FIFO and neither runs to completion while the
+  // other is runnable.  The longer session then steps on alone.  Bytes
+  // still equal standalone runs.
+  TempDir solo("rr-solo");
+  const core::SessionSpec specs[] = {small_spec(71, /*budget=*/8),
+                                     small_spec(72, /*budget=*/12)};
+  std::string expected[2];
+  for (int i = 0; i < 2; ++i) {
+    const std::string path = solo.file("solo-" + std::to_string(i));
+    run_standalone(specs[i], path);
+    expected[i] = slurp(path);
+  }
+
+  TempDir dir("rr");
+  service::ServiceOptions options;
+  options.root = dir.path();
+  options.max_live = 2;
+  options.slots = 1;
+  std::uint64_t ids[2];
+  obs::tracer().reset();
+  obs::tracer().set_enabled(true);
+  {
+    service::SessionManager manager(options);
+    for (int i = 0; i < 2; ++i) {
+      const auto started = manager.start(specs[i]);
+      ASSERT_TRUE(started.admitted) << started.error;
+      ids[i] = started.id;
+    }
+    manager.drain();
+    for (int i = 0; i < 2; ++i) {
+      const auto status = manager.status(ids[i]);
+      ASSERT_TRUE(status.has_value());
+      EXPECT_EQ(status->state, service::SessionState::kDone) << status->error;
+      EXPECT_EQ(slurp(manager.journal_path(ids[i])), expected[i]);
+    }
+  }
+  obs::tracer().set_enabled(false);
+
+  // The one worker ran every round, so the round spans in start order
+  // are the schedule.
+  std::vector<std::uint64_t> schedule;
+  for (const auto& span : obs::tracer().records()) {
+    if (span.name != "init" && span.name != "iteration") continue;
+    for (const auto& [key, value] : span.args) {
+      if (key == "session") schedule.push_back(std::stoull(value));
+    }
+  }
+  obs::tracer().reset();
+  // budget 8 and 12 at init 4, q = 1: one round per evaluation.
+  ASSERT_EQ(schedule.size(), 20u);
+  std::size_t rounds[2] = {0, 0};
+  for (std::size_t i = 0; i < schedule.size(); ++i) {
+    const int who = schedule[i] == ids[0] ? 0 : 1;
+    ASSERT_EQ(schedule[i], ids[who]);
+    if (i > 0 && rounds[0] < 8) {
+      EXPECT_NE(schedule[i], schedule[i - 1])
+          << "round " << i << " went to the same session again while the "
+          << "other was runnable";
+    }
+    ++rounds[who];
+  }
+  EXPECT_EQ(rounds[0], 8u);
+  EXPECT_EQ(rounds[1], 12u);
+  EXPECT_EQ(schedule.back(), ids[1]);
+}
+
+TEST(ServiceJournalTest, FailedCheckpointWritesEmitFleetEvents) {
+  // A hosted session whose checkpoint writes fail runs on (the previous
+  // checkpoint stays in place), and every failed write surfaces as a
+  // runtime fleet event carrying the journal path.
+  TempDir dir("write-failed");
+  service::ServiceOptions options;
+  options.root = dir.path();
+  options.max_live = 1;
+  options.events_path = dir.file("events.jsonl");
+  service::SessionManager manager(options);
+
+  struct Disarm {
+    ~Disarm() { chaos::injector().disarm(); }
+  } disarm;
+  chaos::ChaosProfile profile;
+  ASSERT_TRUE(chaos::ChaosProfile::parse("journal=1.0", profile));
+  chaos::injector().configure(profile, 9);
+  const auto started = manager.start(small_spec(81, /*budget=*/6));
+  ASSERT_TRUE(started.admitted) << started.error;
+  manager.drain();
+  const std::uint64_t injected =
+      chaos::injector().injections(chaos::Site::kJournalWrite);
+  chaos::injector().disarm();
+
+  const auto status = manager.status(started.id);
+  ASSERT_TRUE(status.has_value());
+  EXPECT_EQ(status->state, service::SessionState::kDone) << status->error;
+  EXPECT_FALSE(fs::exists(manager.journal_path(started.id)));
+
+  std::vector<service::FleetEvent> events;
+  ASSERT_TRUE(service::EventJournal::load_file(
+      options.events_path, events, core::LoadMode::kStrict));
+  std::uint64_t failed = 0;
+  for (const auto& event : events) {
+    if (event.kind != "journal.write_failed") continue;
+    ++failed;
+    EXPECT_EQ(event.session, started.id);
+    EXPECT_EQ(event.detail, manager.journal_path(started.id));
+  }
+  // The metadata flush and one per evaluation (q = 1).
+  EXPECT_EQ(failed, 1u + 6u);
+  EXPECT_EQ(failed, injected);
+  EXPECT_FALSE(service::logical_event_kind("journal.write_failed"));
+}
+
+std::size_t process_threads() {
+  std::size_t n = 0;
+  for (const auto& task : fs::directory_iterator("/proc/self/task")) {
+    (void)task;
+    ++n;
+  }
+  return n;
+}
+
+TEST(ServiceAskTellTest, WaitingAskTellSessionsHoldNoThread) {
+  // Sixteen ask/tell sessions on max_live = 2: while they wait for
+  // their executor, none holds a thread — the process grows by the step
+  // workers only (2 internal + 2 ask/tell), not by one per session.
+  constexpr int kSessions = 16;
+  TempDir dir("asktell-threads");
+  service::ServiceOptions options;
+  options.root = dir.path();
+  options.max_live = 2;
+  options.max_pending = kSessions;
+  options.lease_timeout_ticks = 1u << 30;
+  // Parameter selection fits its forests on the global pool; create it
+  // before the baseline count.
+  ASSERT_GE(ThreadPool::global().size(), 1u);
+  const std::size_t before = process_threads();
+
+  std::vector<std::uint64_t> ids;
+  std::vector<core::SessionSpec> specs;
+  {
+    service::SessionManager manager(options);
+    service::LocalClient client(manager);
+    for (int i = 0; i < kSessions; ++i) {
+      core::SessionSpec spec = small_spec(300 + static_cast<std::uint64_t>(i),
+                                          /*budget=*/6);
+      spec.mode = "external";
+      spec.parallel = 0;
+      spec.batch = 2;
+      service::Request start;
+      start.verb = "start";
+      start.spec_body = core::encode_spec_body(spec);
+      const auto response = client.call(start);
+      ASSERT_TRUE(response.ok) << response.error;
+      ids.push_back(std::stoull(response.fields.at("id")));
+      specs.push_back(spec);
+    }
+    // Every session has published its first round and waits for tells.
+    for (const std::uint64_t id : ids) {
+      for (int spin = 0; spin < 20000; ++spin) {
+        const auto status = manager.status(id);
+        ASSERT_TRUE(status.has_value());
+        if (status->pending > 0) break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      ASSERT_GT(manager.status(id)->pending, 0u) << "session " << id;
+    }
+    EXPECT_LE(process_threads(), before + 4);
+
+    // One executor drives every session to done over the LocalClient.
+    std::size_t live = ids.size();
+    for (int spin = 0; spin < 60000 && live > 0; ++spin) {
+      live = 0;
+      bool granted = false;
+      for (const std::uint64_t id : ids) {
+        service::Request suggest;
+        suggest.verb = "suggest";
+        suggest.session = id;
+        suggest.limit = 16;
+        const auto batch = client.call(suggest);
+        ASSERT_TRUE(batch.ok) << batch.error;
+        if (batch.fields.at("state") == "done") continue;
+        ++live;
+        for (const auto& record : batch.records) {
+          std::istringstream in(record);
+          std::uint64_t index = 0, lease = 0, deadline = 0;
+          ASSERT_TRUE(static_cast<bool>(in >> index >> lease >> deadline));
+          std::vector<double> unit;
+          for (double v = 0.0; in >> v;) unit.push_back(v);
+          double sum = 0.0;
+          for (std::size_t d = 0; d < unit.size(); ++d) {
+            sum += unit[d] * static_cast<double>(d + 1);
+          }
+          service::Request observe;
+          observe.verb = "observe";
+          observe.session = id;
+          observe.has_observation = true;
+          observe.eval = index;
+          observe.value_s =
+              60.0 + 10.0 * sum / static_cast<double>(unit.size());
+          observe.cost_s = observe.value_s + 2.5;
+          observe.status = "ok";
+          const auto told = client.call(observe);
+          ASSERT_TRUE(told.ok) << told.error;
+          granted = true;
+        }
+      }
+      if (!granted) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(live, 0u) << "ask/tell sessions never finished";
+    manager.drain();
+  }
+
+  // Each journal is exactly what a standalone replay of it rewrites.
+  for (int i = 0; i < kSessions; ++i) {
+    SCOPED_TRACE("session " + std::to_string(ids[static_cast<std::size_t>(i)]));
+    const std::string journal =
+        dir.file("session-" + std::to_string(ids[static_cast<std::size_t>(i)]) +
+                 ".journal");
+    const std::string bytes = slurp(journal);
+    const std::string copy = dir.file("replay.journal");
+    fs::copy_file(journal, copy, fs::copy_options::overwrite_existing);
+    core::SessionSpec replay = specs[static_cast<std::size_t>(i)];
+    replay.checkpoint_path = copy;
+    replay.resume = true;
+    std::string error;
+    auto session = core::SessionFactory::create(replay, &error);
+    ASSERT_NE(session, nullptr) << error;
+    const auto outcome = session->run();
+    ASSERT_TRUE(outcome.ok()) << outcome.error;
+    EXPECT_EQ(outcome.replayed, 6u);
+    EXPECT_EQ(slurp(copy), bytes);
+  }
 }
 
 }  // namespace
