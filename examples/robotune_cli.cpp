@@ -147,9 +147,11 @@ void usage(const char* argv0) {
       "  --checkpoint PATH           journal the session after every\n"
       "                              evaluation (robotune only)\n"
       "  --resume                    resume from --checkpoint if it exists\n"
+      "                              (without --checkpoint: usage error)\n"
       "  --recover                   with --resume: truncate a torn or\n"
       "                              corrupt journal tail to the longest\n"
       "                              valid prefix instead of aborting\n"
+      "                              (without --resume: usage error)\n"
       "  --fsync                     fsync the journal on every flush\n"
       "  --chaos-profile P           internal fault injection for soak\n"
       "                              testing (default none): preset\n"
@@ -157,9 +159,8 @@ void usage(const char* argv0) {
       "                              cholesky=F,acq=F,journal=F,pool=F\n"
       "  --parallel N                evaluate batches on N workers; results\n"
       "                              are bit-identical for any N >= 1\n"
-      "                              (default 0 = no scheduler: robotune\n"
-      "                              runs inline with the N = 1 results,\n"
-      "                              baselines use sequential seeds)\n"
+      "                              (default 0 = inline, the N = 1\n"
+      "                              results, for every tuner)\n"
       "  --batch q                   BO proposals per round via constant-\n"
       "                              liar fantasies (robotune; default 1)\n"
       "  --racing off|median|halving kill in-flight evaluations whose\n"
@@ -673,6 +674,19 @@ int run_client(const CliOptions& options) {
 int main(int argc, char** argv) {
   CliOptions options;
   if (!parse(argc, argv, options)) {
+    usage(argv[0]);
+    return 2;
+  }
+  // Flags that only qualify another flag are an error on their own,
+  // never silently ignored.
+  const char* dangling = nullptr;
+  if (options.resume && options.checkpoint_path.empty()) {
+    dangling = "--resume needs --checkpoint PATH";
+  } else if (options.recover && !options.resume) {
+    dangling = "--recover needs --resume";
+  }
+  if (dangling != nullptr) {
+    std::fprintf(stderr, "%s\n", dangling);
     usage(argv[0]);
     return 2;
   }

@@ -645,13 +645,6 @@ void BoEngine::begin_run(sparksim::SparkObjective& objective,
   // by an external session (standalone replay needs no bridge).
   external_mode_ =
       external != nullptr || (session != nullptr && session->state.external);
-  // Every internal round runs through a scheduler; without one, a local
-  // one-worker scheduler evaluates inline on the calling thread.
-  local_scheduler_.reset();
-  if (scheduler == nullptr && !external_mode_) {
-    local_scheduler_ = std::make_unique<exec::EvalScheduler>();
-    scheduler = local_scheduler_.get();
-  }
   scheduler_ = scheduler;
 
   journaled_ = 0;
@@ -807,9 +800,14 @@ Step BoEngine::run_round(bool stop) {
     for (std::size_t i = live_begin; i < size; ++i) {
       requests.push_back({round.points[i], round.threshold});
     }
-    // Journal completions as they happen, on the worker that finished
-    // them — possibly out of index order (canonicalized on resume).
-    const auto outcomes = scheduler_->run_batch(
+    // Every internal round runs through a scheduler: the attached one, or
+    // a local one-worker one evaluating inline on this thread.  Journal
+    // completions as they happen, on the worker that finished them —
+    // possibly out of index order (canonicalized on resume).
+    exec::EvalScheduler inline_scheduler;
+    exec::EvalScheduler& scheduler =
+        scheduler_ != nullptr ? *scheduler_ : inline_scheduler;
+    const auto outcomes = scheduler.run_batch(
         *objective_, requests, first_live,
         [&](const exec::CompletedEval& done) {
           if (log_ == nullptr) return;
@@ -833,7 +831,6 @@ Step BoEngine::run_round(bool stop) {
 
 BoResult BoEngine::end_run() {
   mirror_degrades();
-  local_scheduler_.reset();
   return result_;
 }
 

@@ -295,8 +295,7 @@ class BoEngine {
   // ---- begin_run .. end_run -----------------------------------------------
   sparksim::SparkObjective* objective_ = nullptr;
   SessionLog* log_ = nullptr;
-  exec::EvalScheduler* scheduler_ = nullptr;
-  std::unique_ptr<exec::EvalScheduler> local_scheduler_;
+  exec::EvalScheduler* scheduler_ = nullptr;  ///< null: inline per round
   ExternalBridge* external_ = nullptr;
   bool external_mode_ = false;
   std::size_t journaled_ = 0;   ///< evaluations the journal held at begin

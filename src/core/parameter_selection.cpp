@@ -108,23 +108,26 @@ SelectionReport select_parameters(
   const auto design = sampling::latin_hypercube(
       options.generic_samples, space.size(), rng);
 
+  // One batch on a local one-worker scheduler, under the indices
+  // kSelectionEvalIndex + i, so the samples depend only on the
+  // objective's seed.
+  std::vector<exec::EvalRequest> requests;
+  requests.reserve(design.size());
+  for (const auto& unit : design) {
+    requests.push_back({unit, options.static_threshold_s});
+  }
+  exec::EvalScheduler inline_scheduler;
+  const auto outcomes =
+      inline_scheduler.run_batch(objective, requests, kSelectionEvalIndex);
   std::vector<tuners::Evaluation> evals;
   evals.reserve(design.size());
   std::vector<double> values;
   values.reserve(design.size());
   double cost = 0.0;
-  for (const auto& unit : design) {
-    const auto outcome =
-        objective.evaluate(unit, options.static_threshold_s);
-    tuners::Evaluation e;
-    e.unit = unit;
-    e.value_s = outcome.value_s;
-    e.cost_s = outcome.cost_s;
-    e.status = outcome.status;
-    e.stopped_early = outcome.stopped_early;
-    cost += e.cost_s;
-    values.push_back(e.value_s);
-    evals.push_back(std::move(e));
+  for (std::size_t i = 0; i < design.size(); ++i) {
+    evals.push_back(tuners::to_evaluation(design[i], outcomes[i]));
+    cost += evals.back().cost_s;
+    values.push_back(evals.back().value_s);
   }
 
   SelectionReport report = select_parameters_from_samples(

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -72,7 +73,15 @@ std::vector<ml::FeatureGroup> build_feature_groups(
     const sparksim::ConfigSpace& space,
     const std::vector<std::vector<std::string>>& joint_names);
 
-/// Runs the full selection pipeline against the objective.
+/// First eval index of the selection samples: sample i runs on the
+/// objective's stream kSelectionEvalIndex + i.  The tag bit keeps them
+/// apart from every tuner's indices (0, 1, ... up to the budget), so
+/// selection leaves the BO streams untouched.
+inline constexpr std::uint64_t kSelectionEvalIndex = std::uint64_t{1} << 63;
+
+/// Runs the full selection pipeline against the objective.  The result
+/// depends on the objective's seed and `options`, not on how many
+/// evaluations the objective ran before.
 SelectionReport select_parameters(
     sparksim::SparkObjective& objective,
     const std::vector<std::vector<std::string>>& joint_names,

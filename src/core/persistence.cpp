@@ -133,7 +133,7 @@ void parse_session_record(RecordParser& p, SessionCheckpoint& session) {
     }
     p.done("selected");
   } else if (kind == "selection-draws") {
-    session.selection_seed_draws = p.u64("selection-draws");
+    p.u64("selection-draws");  // written by older releases; replays nothing
     p.done("selection-draws");
   } else if (kind == "selection-cost") {
     session.selection_cost_s = p.d("selection-cost");
@@ -395,9 +395,6 @@ std::size_t save_session(const SessionCheckpoint& session,
   record([&](std::ostream& p) {
     p << "selected " << session.selected.size();
     for (std::size_t idx : session.selected) p << " " << idx;
-  });
-  record([&](std::ostream& p) {
-    p << "selection-draws " << session.selection_seed_draws;
   });
   record([&](std::ostream& p) {
     p << "selection-cost " << session.selection_cost_s;

@@ -28,7 +28,6 @@
 //   meta <seed> <budget> <workload>
 //   seeding sequential|indexed
 //   selected <n> <idx...>
-//   selection-draws <n>
 //   selection-cost <seconds>
 //   memo <value_s> <dim> <unit...>
 //   eval <index> <status> <value_s> <cost_s> <stopped> <transient>
@@ -44,9 +43,8 @@
 // `seeding` is `indexed` in every journal this release writes (each
 // evaluation's stream derives from the session seed and its index);
 // `sequential` survives only in older detached-mode journals, which
-// resume refuses once they hold an evaluation.  `selection-draws`
-// (sequential-stream draws parameter selection consumed) is
-// informational; resume reads it but replays nothing from it.
+// resume refuses once they hold an evaluation.  Older releases also
+// wrote a `selection-draws <n>` record; the reader parses and discards it.
 //
 // `racing` (emitted only when a racing policy was active — racing-off
 // journals stay byte-identical to pre-racing releases) pins the racing
@@ -170,10 +168,6 @@ struct SessionCheckpoint {
   int budget = 0;                 ///< total evaluation budget
   std::string workload;           ///< cache key (workload kind)
   std::vector<std::size_t> selected;  ///< tuned parameter indices
-  /// Objective seed draws consumed by parameter selection before the BO
-  /// session started (0 on a selection-cache hit).  Informational: BO
-  /// evaluations run on index-derived streams, so resume never replays it.
-  std::uint64_t selection_seed_draws = 0;
   double selection_cost_s = 0.0;
   /// Memoized configurations blended into the initial design; recorded so
   /// the resumed engine regenerates the same initial sample plan.

@@ -48,9 +48,7 @@ void RoboTune::begin_report(sparksim::SparkObjective& objective, int budget,
 
   // ---- Parameter selection (checkpoint, cache hit, or RF pipeline) ------
   // A loaded checkpoint (non-empty selection) resumes: selection and the
-  // memoized-config snapshot come from the checkpoint.  BO evaluations run
-  // on index-derived seed streams, so the objective's sequential stream
-  // (which selection consumed) needs no fast-forward.
+  // memoized-config snapshot come from the checkpoint.
   const bool resuming = session != nullptr && !session->state.selected.empty();
   if (resuming) {
     require(session->state.seed == seed,
@@ -71,7 +69,6 @@ void RoboTune::begin_report(sparksim::SparkObjective& objective, int budget,
     obs::count("memo.selection_cache.misses");
     obs::Span span("selection", "core");
     span.arg("workload", workload_key);
-    const std::uint64_t draws_before = objective.seed_draws();
     SelectionOptions sel = options_.selection;
     sel.seed ^= seed;
     report.selection_report =
@@ -92,10 +89,6 @@ void RoboTune::begin_report(sparksim::SparkObjective& objective, int budget,
       std::sort(report.selected.begin(), report.selected.end());
     }
     selection_cache_.store(workload_key, report.selected);
-    if (session != nullptr) {
-      session->state.selection_seed_draws =
-          objective.seed_draws() - draws_before;
-    }
   }
 
   // ---- Memoized configurations ------------------------------------------

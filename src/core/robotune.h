@@ -70,10 +70,10 @@ class RoboTune : public tuners::Tuner {
   ///
   /// `scheduler`, when given, runs the BO evaluation batches concurrently
   /// (see BoEngine::run); without one, the rounds run inline on a local
-  /// one-worker scheduler with the same results.  Either way evaluations
-  /// use index-derived seed streams; parameter selection itself stays
-  /// sequential, on the objective's own stream.  set_pacing's hook runs
-  /// before every round.
+  /// one-worker scheduler with the same results.  Parameter selection
+  /// runs its samples as one inline batch under its own eval indices
+  /// (kSelectionEvalIndex), so neither depends on the other.  set_pacing's
+  /// hook runs before every round.
   RoboTuneReport tune_report(sparksim::SparkObjective& objective, int budget,
                              std::uint64_t seed,
                              const BoObserver& observer = nullptr,

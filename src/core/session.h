@@ -53,8 +53,8 @@ struct SessionSpec {
   int retries = 2;
   double preempt_rate = 0.0;
   /// Evaluation workers: N >= 1 = scheduler mode (bit-identical results
-  /// for any N); 0 = no scheduler: robotune runs inline with the results
-  /// of N = 1, the baseline tuners on the objective's sequential stream.
+  /// for any N); 0 = no scheduler: every tuner runs its rounds inline,
+  /// with the results of N = 1.
   int parallel = 0;
   int batch = 1;              ///< BO batch width q (robotune only)
   std::string racing = "off";  ///< off|median|halving (needs parallel >= 1)

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <utility>
+#include <vector>
 
 namespace robotune::ml {
 
@@ -35,32 +37,35 @@ double sse(const Dataset& data, std::span<const std::size_t> rows) {
   return s;
 }
 
-// Best CART split on one feature: sort rows by the feature, scan prefix
-// sums.  Returns weighted child SSE and the threshold, or infinity when no
-// valid split exists (e.g. constant feature).
+// Best CART split on one feature: sort the rows' (value, row) keys, scan
+// prefix sums.  Returns weighted child SSE and the threshold, or infinity
+// when no valid split exists (e.g. constant feature).  Ties sort by row,
+// so the order — and with it every prefix sum — is the same whatever
+// order `rows` arrive in.  `keyed` is scratch space.
 std::pair<double, double> best_split_on_feature(
-    const Dataset& data, std::span<std::size_t> rows, std::size_t feature,
-    std::size_t min_leaf) {
-  std::sort(rows.begin(), rows.end(), [&](std::size_t a, std::size_t b) {
-    return data.feature(a, feature) < data.feature(b, feature);
-  });
-  const std::size_t n = rows.size();
+    const Dataset& data, std::span<const std::size_t> rows,
+    std::size_t feature, std::size_t min_leaf,
+    std::vector<std::pair<double, std::size_t>>& keyed) {
+  keyed.clear();
+  for (std::size_t r : rows) keyed.emplace_back(data.feature(r, feature), r);
+  std::sort(keyed.begin(), keyed.end());
+  const std::size_t n = keyed.size();
   // Prefix sums of y and y^2 enable O(1) SSE of any prefix/suffix.
   double left_sum = 0.0, left_sq = 0.0;
   double total_sum = 0.0, total_sq = 0.0;
-  for (std::size_t r : rows) {
-    const double y = data.target(r);
+  for (const auto& key : keyed) {
+    const double y = data.target(key.second);
     total_sum += y;
     total_sq += y * y;
   }
   double best_score = std::numeric_limits<double>::infinity();
   double best_threshold = 0.0;
   for (std::size_t i = 0; i + 1 < n; ++i) {
-    const double y = data.target(rows[i]);
+    const double y = data.target(keyed[i].second);
     left_sum += y;
     left_sq += y * y;
-    const double xi = data.feature(rows[i], feature);
-    const double xj = data.feature(rows[i + 1], feature);
+    const double xi = keyed[i].first;
+    const double xj = keyed[i + 1].first;
     if (xi == xj) continue;  // can't split between equal values
     const std::size_t nl = i + 1;
     const std::size_t nr = n - nl;
@@ -178,13 +183,14 @@ std::int32_t DecisionTree::build(const Dataset& data,
 
   SplitResult best;
   best.parent_sse = parent_sse;
-  std::vector<std::size_t> scratch(node_rows.begin(), node_rows.end());
+  std::vector<std::pair<double, std::size_t>> keyed;
+  keyed.reserve(n);
   for (std::size_t i = 0; i < mtry; ++i) {
     const std::size_t f = candidates[i];
     std::pair<double, double> result;
     if (options_.split_mode == SplitMode::kBestSplit) {
-      result = best_split_on_feature(data, scratch, f,
-                                     options_.min_samples_leaf);
+      result = best_split_on_feature(data, node_rows, f,
+                                     options_.min_samples_leaf, keyed);
     } else {
       result = random_split_on_feature(data, node_rows, f,
                                        options_.min_samples_leaf, rng);

@@ -50,6 +50,18 @@ class DecisionTree {
   double predict_marking_path(std::span<const double> x,
                               std::span<std::uint64_t> path) const;
 
+  struct Node {
+    // Leaf iff feature == kLeaf.
+    static constexpr std::size_t kLeaf = static_cast<std::size_t>(-1);
+    std::size_t feature = kLeaf;
+    double threshold = 0.0;
+    std::int32_t left = -1;
+    std::int32_t right = -1;
+    double value = 0.0;  // node mean target (the prediction at leaves)
+  };
+
+  /// The fitted nodes in build order (pre-order; the root is node 0).
+  std::span<const Node> nodes() const noexcept { return nodes_; }
   std::size_t node_count() const noexcept { return nodes_.size(); }
   std::size_t depth() const noexcept { return depth_; }
   bool trained() const noexcept { return !nodes_.empty(); }
@@ -62,16 +74,6 @@ class DecisionTree {
   }
 
  private:
-  struct Node {
-    // Leaf iff feature == kLeaf.
-    static constexpr std::size_t kLeaf = static_cast<std::size_t>(-1);
-    std::size_t feature = kLeaf;
-    double threshold = 0.0;
-    std::int32_t left = -1;
-    std::int32_t right = -1;
-    double value = 0.0;  // mean target for leaves
-  };
-
   /// Root-to-leaf walk for `x`, calling on_split(feature) at each split.
   template <typename OnSplit>
   double walk(std::span<const double> x, OnSplit&& on_split) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/rng.h"
 #include "obs/metrics.h"
 
 namespace robotune::sparksim {
@@ -16,16 +17,6 @@ std::uint64_t derive_eval_seed(std::uint64_t session_seed,
   return mix.next();
 }
 
-SparkObjective SparkObjective::fork_for_eval(
-    std::uint64_t eval_index) const {
-  SparkObjective fork(cluster_, workload_, space_,
-                      derive_eval_seed(initial_seed_, eval_index),
-                      time_cap_s_, run_noise_sigma_, metric_);
-  fork.fault_profile_ = fault_profile_;
-  fork.retry_policy_ = retry_policy_;
-  return fork;
-}
-
 SparkObjective::SparkObjective(ClusterSpec cluster, WorkloadSpec workload,
                                ConfigSpace space, std::uint64_t seed,
                                double time_cap_s, double run_noise_sigma,
@@ -34,7 +25,6 @@ SparkObjective::SparkObjective(ClusterSpec cluster, WorkloadSpec workload,
       workload_(std::move(workload)),
       space_(std::move(space)),
       initial_seed_(seed),
-      seed_stream_(seed),
       time_cap_s_(time_cap_s),
       run_noise_sigma_(run_noise_sigma),
       metric_(metric) {}
@@ -71,15 +61,16 @@ EvalOutcome SparkObjective::evaluate_decoded(const DecodedConfig& values,
   // fetch says nothing about the configuration, so bounded re-runs (with
   // backoff charged to the session) recover the observation.  Every
   // attempt draws a fresh run seed — a retried run sees different luck.
+  Rng run_seeds(derive_eval_seed(initial_seed_, index_base_ + evaluations_));
   EvalOutcome out;
   double retry_cost_s = 0.0;
   for (int attempt = 0;; ++attempt) {
-    const std::uint64_t run_seed = next_run_seed();
-    out.raw = simulate(cluster_, workload_, config, run_seed, engine_options);
+    out.raw = simulate(cluster_, workload_, config, run_seeds(),
+                       engine_options);
     out.attempts = attempt + 1;
     // Logical fault/retry metrics: attempt outcomes are a pure function
-    // of the run seed (sequential or index-derived), so these totals are
-    // identical for any scheduler worker count.
+    // of the evaluation's stream, so these totals are identical for any
+    // scheduler worker count.
     obs::count("objective.attempts");
     if (out.raw.status == RunStatus::kExecutorLost) {
       obs::count("objective.faults.executor_lost");

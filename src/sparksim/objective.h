@@ -17,6 +17,12 @@
 // survives every retry is *censored*, not penalized: it observes the kill
 // threshold like a guard-stopped run, so flake penalties never poison the
 // surrogate models' picture of the configuration space.
+//
+// Seeding: evaluation k of an objective draws its run seeds (one per
+// attempt) from its own stream, derive_eval_seed(seed, k).  A direct
+// evaluate() is evaluation number evaluations(); a scheduler runs index k
+// on fork_for_eval(k).  Both give the same outcome, so a result depends
+// on the seed and the index only.
 #pragma once
 
 #include <cstdint>
@@ -30,11 +36,8 @@
 
 namespace robotune::sparksim {
 
-/// Derives the private run-seed-stream seed of evaluation `eval_index`
-/// in a session whose objective was constructed with `session_seed`.
-/// The mixing differs from the objective's sequential stream (a plain
-/// SplitMix64 expansion of the seed), so index-derived streams and the
-/// sequential stream are statistically independent.
+/// Derives the seed of the run-seed stream of evaluation `eval_index` of
+/// an objective constructed with `session_seed`.
 std::uint64_t derive_eval_seed(std::uint64_t session_seed,
                                std::uint64_t eval_index) noexcept;
 
@@ -75,8 +78,8 @@ struct EvalOutcome {
   double cost_s = 0.0;
   /// True when the guard threshold killed the run.
   bool stopped_early = false;
-  /// Simulator runs performed (1 + retries); equals the seed draws the
-  /// evaluation consumed.
+  /// Simulator runs performed (1 + retries), one seed each from the
+  /// evaluation's stream.
   int attempts = 1;
   /// True when the final status is a transient fault that exhausted its
   /// retries — the value is censored at the threshold, not penalized.
@@ -133,60 +136,44 @@ class SparkObjective {
   std::size_t evaluations() const noexcept { return evaluations_; }
   double total_cost_s() const noexcept { return total_cost_s_; }
 
-  /// Per-run seeds drawn from the sequential stream so far (one per
-  /// simulator attempt; forks draw from their own streams).
-  std::uint64_t seed_draws() const noexcept { return seed_draws_; }
-
-  /// Rewinds the objective to its just-constructed state: evaluation and
-  /// cost counters AND the internal per-run seed stream.  A reset
-  /// objective therefore produces the exact evaluation sequence of a
-  /// freshly constructed one with the same seed.
-  ///
-  /// Interaction with fork_for_eval: forked evaluation streams are
-  /// derived from (initial_seed, eval_index), never from the sequential
-  /// stream or the counters, so reset_counters() does not change what a
-  /// fork at a given index evaluates.  What it does reset is the counter
-  /// baseline that merge_fork folds into — callers running a scheduler
-  /// session must reset (or not) *before* the first batch, not mid-
-  /// session, or the merged totals lose the pre-reset evaluations.
+  /// Rewinds the objective to its just-constructed state: with the
+  /// counters zeroed, the next evaluation runs on stream index_base again,
+  /// so a reset objective repeats the evaluations of a fresh one.
   void reset_counters() {
     evaluations_ = 0;
     total_cost_s_ = 0.0;
-    seed_draws_ = 0;
-    seed_stream_.reseed(initial_seed_);
   }
 
-  /// Clones the objective for one scheduler-dispatched evaluation: same
-  /// cluster/workload/space/cap/noise/faults/retries, but a private run-
-  /// seed stream derived from (initial_seed, eval_index) and zeroed
-  /// counters.  Forked evaluations are therefore bit-identical for a
-  /// given index regardless of worker count or completion order, and two
-  /// forks never share writable state (each owns its RNG and counters).
-  SparkObjective fork_for_eval(std::uint64_t eval_index) const;
+  /// A copy for one scheduler-dispatched evaluation: its next evaluation
+  /// runs on stream `eval_index`, and its counters start at zero.  So
+  /// `fork_for_eval(k).evaluate(u)` equals evaluate(u) number k (from 0)
+  /// of a fresh objective, whatever the worker count, completion order or
+  /// position of the objective forked from; two forks share no writable
+  /// state.
+  SparkObjective fork_for_eval(std::uint64_t eval_index) const {
+    SparkObjective fork(*this);
+    fork.index_base_ = eval_index;
+    fork.reset_counters();
+    return fork;
+  }
 
   /// Folds a completed fork's counters back into this objective.  The
   /// scheduler calls this in canonical (eval-index) order after a batch
   /// completes, so evaluations()/total_cost_s() are deterministic even
-  /// though the forks ran concurrently.  The sequential seed stream and
-  /// seed_draws() are untouched: forks never consume it (their streams
-  /// are index-derived), and checkpoint resume skips eval *indices*, not
-  /// seed draws.
+  /// though the forks ran concurrently.
   void merge_fork(const SparkObjective& fork) {
     evaluations_ += fork.evaluations_;
     total_cost_s_ += fork.total_cost_s_;
   }
 
  private:
-  std::uint64_t next_run_seed() {
-    ++seed_draws_;
-    return seed_stream_();
-  }
-
   ClusterSpec cluster_;
   WorkloadSpec workload_;
   ConfigSpace space_;
   std::uint64_t initial_seed_;
-  Rng seed_stream_;
+  /// Evaluation k runs on the stream derive_eval_seed(initial_seed_, k),
+  /// k = index_base_ + evaluations_; one seed per attempt.
+  std::uint64_t index_base_ = 0;
   double time_cap_s_;
   double run_noise_sigma_;
   ObjectiveMetric metric_;
@@ -194,7 +181,6 @@ class SparkObjective {
   RetryPolicy retry_policy_;
   std::size_t evaluations_ = 0;
   double total_cost_s_ = 0.0;
-  std::uint64_t seed_draws_ = 0;
 };
 
 }  // namespace robotune::sparksim

@@ -66,27 +66,14 @@ TuningResult BestConfig::tune(sparksim::SparkObjective& objective, int budget,
     const auto samples =
         dds(static_cast<std::size_t>(round), lo, hi, rng);
     const double round_start_best = incumbent;
-    if (scheduler() != nullptr) {
-      // Per-DDS-round parallelism: the whole sample set evaluates as one
-      // batch under the threshold captured at round start.  (Detached
-      // mode retightens the threshold after every sample; freezing it
-      // per round is the price of completion-order independence.)
-      GuardPolicy round_guard(current_threshold(), 0.0);
-      const auto evals = evaluate_batch_into(*scheduler(), objective,
-                                             samples, round_guard, result);
-      for (const auto& e : evals) {
-        if (e.ok()) incumbent = std::min(incumbent, e.value_s);
-      }
-      remaining -= static_cast<int>(evals.size());
-    } else {
-      for (const auto& unit : samples) {
-        if (remaining <= 0) break;
-        GuardPolicy guard(current_threshold(), 0.0);
-        const auto e = evaluate_into(objective, unit, guard, result);
-        if (e.ok()) incumbent = std::min(incumbent, e.value_s);
-        --remaining;
-      }
+    // The whole sample set evaluates as one round under the threshold
+    // captured at round start.
+    GuardPolicy round_guard(current_threshold(), 0.0);
+    for (const auto& e :
+         evaluate_round(objective, samples, round_guard, result)) {
+      if (e.ok()) incumbent = std::min(incumbent, e.value_s);
     }
+    remaining -= round;
     if (remaining <= 0) break;
 
     const bool improved = incumbent < round_start_best;

@@ -30,31 +30,21 @@ TuningResult Gunther::tune(sparksim::SparkObjective& objective, int budget,
   GuardPolicy guard(options_.static_threshold_s, /*median_multiple=*/0.0);
 
   // Evaluates a whole group of individuals — the initial population or
-  // one generation's offspring.  In scheduler mode the group is one
-  // concurrent batch (per-generation parallelism; genes were all drawn
-  // before any evaluation, so the RNG stream is identical either way).
-  // Failed configurations get the penalty value so selection avoids
-  // them.  Transient failures carry a censored value that says nothing
-  // about the genes, so they rank last instead of mid-population — the
-  // GA never breeds from an observation that was pure cluster flake.
+  // one generation's offspring — as one round (genes were all drawn
+  // before any evaluation).  Failed configurations get the penalty value
+  // so selection avoids them.  Transient failures carry a censored value
+  // that says nothing about the genes, so they rank last instead of
+  // mid-population — the GA never breeds from an observation that was
+  // pure cluster flake.
   auto evaluate_group = [&](std::vector<Individual>& group) {
-    if (scheduler() != nullptr) {
-      std::vector<std::vector<double>> units;
-      units.reserve(group.size());
-      for (const auto& ind : group) units.push_back(ind.genes);
-      const auto evals =
-          evaluate_batch_into(*scheduler(), objective, units, guard, result);
-      for (std::size_t i = 0; i < group.size(); ++i) {
-        group[i].fitness = evals[i].transient
-                               ? std::numeric_limits<double>::infinity()
-                               : evals[i].value_s;
-      }
-      return;
-    }
-    for (auto& ind : group) {
-      const auto e = evaluate_into(objective, ind.genes, guard, result);
-      ind.fitness = e.transient ? std::numeric_limits<double>::infinity()
-                                : e.value_s;
+    std::vector<std::vector<double>> units;
+    units.reserve(group.size());
+    for (const auto& ind : group) units.push_back(ind.genes);
+    const auto evals = evaluate_round(objective, units, guard, result);
+    for (std::size_t i = 0; i < group.size(); ++i) {
+      group[i].fitness = evals[i].transient
+                             ? std::numeric_limits<double>::infinity()
+                             : evals[i].value_s;
     }
   };
 

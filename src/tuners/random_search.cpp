@@ -1,5 +1,7 @@
 #include "tuners/random_search.h"
 
+#include <algorithm>
+
 #include "obs/trace.h"
 
 namespace robotune::tuners {
@@ -14,29 +16,25 @@ TuningResult RandomSearch::tune(sparksim::SparkObjective& objective,
   session_span.arg("seed", seed);
   Rng rng(seed);
   const std::size_t dims = objective.space().size();
-  // Transient-fault handling rides entirely on evaluate_into/GuardPolicy:
-  // censored flake values never enter the guard median, and RS keeps no
-  // model state that a flake could poison.
+  // Transient-fault handling rides entirely on GuardPolicy: censored
+  // flake values never enter the guard median, and RS keeps no model
+  // state that a flake could poison.
   GuardPolicy guard(static_threshold_s_, /*median_multiple=*/0.0);
-  if (scheduler() != nullptr) {
-    // Scheduler mode: RS has no sequential dependence at all (static
-    // threshold, no model), so the whole budget is one batch.  The unit
-    // vectors are drawn up front in the same RNG order as the sequential
-    // loop below.
-    std::vector<std::vector<double>> units(
-        static_cast<std::size_t>(std::max(0, budget)));
+  // Fixed rounds of kRoundSize, so a cancel lands between them.  With a
+  // static threshold, RNG-ordered units and fixed eval indices, the
+  // chunking cannot change a result; it only trades cancel latency
+  // against the workers idling at each round's barrier.
+  constexpr int kRoundSize = 50;
+  std::vector<std::vector<double>> units;
+  for (int done = 0; done < budget; done += kRoundSize) {
+    if (paced_stop()) break;
+    units.assign(
+        static_cast<std::size_t>(std::min(kRoundSize, budget - done)),
+        std::vector<double>(dims));
     for (auto& unit : units) {
-      unit.resize(dims);
       for (auto& u : unit) u = rng.uniform();
     }
-    evaluate_batch_into(*scheduler(), objective, units, guard, result);
-    return result;
-  }
-  std::vector<double> unit(dims);
-  for (int i = 0; i < budget; ++i) {
-    if (paced_stop()) break;  // cooperative cancel between evaluations
-    for (auto& u : unit) u = rng.uniform();
-    evaluate_into(objective, unit, guard, result);
+    evaluate_round(objective, units, guard, result);
   }
   return result;
 }

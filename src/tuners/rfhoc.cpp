@@ -44,48 +44,41 @@ TuningResult Rfhoc::tune(sparksim::SparkObjective& objective, int budget,
   {
     obs::Span span("train", "tuners");
     span.arg("samples", train_count);
-    if (scheduler() != nullptr) {
-      // Sample collection is RFHOC's embarrassingly parallel phase: the
-      // whole LHS design evaluates as one batch.
-      const auto evals =
-          evaluate_batch_into(*scheduler(), objective, design, guard, result);
-      for (std::size_t i = 0; i < design.size(); ++i) {
-        if (evals[i].transient) continue;
-        data.add_row(design[i], std::log(std::max(1e-6, evals[i].value_s)));
-      }
-    } else {
-      for (const auto& unit : design) {
-        const auto e = evaluate_into(objective, unit, guard, result);
-        if (e.transient) continue;
-        data.add_row(unit, std::log(std::max(1e-6, e.value_s)));
-      }
+    // Sample collection is RFHOC's embarrassingly parallel phase: the
+    // whole LHS design evaluates as one round.
+    const auto evals = evaluate_round(objective, design, guard, result);
+    for (std::size_t i = 0; i < design.size(); ++i) {
+      if (evals[i].transient) continue;
+      data.add_row(design[i], std::log(std::max(1e-6, evals[i].value_s)));
     }
   }
   if (train_count >= budget) return result;
 
   // ---- Phase 2: GA over the surrogate -------------------------------------
+  ml::ForestOptions forest_options;
+  forest_options.num_trees = options_.forest_trees;
+  forest_options.tree.max_features = dims;
   std::vector<ModelIndividual> population(
       static_cast<std::size_t>(options_.ga_population));
-  {
+  for (auto& ind : population) {
+    ind.genes.resize(dims);
+    for (auto& g : ind.genes) g = rng.uniform();
+  }
+  // Fits the forest to `data` and evolves `population` against it, best
+  // predicted first.
+  const auto search_model = [&] {
     obs::Span span("surrogate_ga", "tuners");
     span.arg("population", options_.ga_population);
     span.arg("generations", options_.ga_generations);
-    ml::ForestOptions forest_options;
-    forest_options.num_trees = options_.forest_trees;
-    forest_options.tree.max_features = dims;
     ml::RandomForest model(forest_options, seed ^ 0xabcdULL);
     model.fit(data);
-
-    for (auto& ind : population) {
-      ind.genes.resize(dims);
-      for (auto& g : ind.genes) g = rng.uniform();
-      ind.predicted = model.predict(ind.genes);
-    }
+    const auto by_prediction = [](const ModelIndividual& a,
+                                  const ModelIndividual& b) {
+      return a.predicted < b.predicted;
+    };
+    for (auto& ind : population) ind.predicted = model.predict(ind.genes);
     for (int gen = 0; gen < options_.ga_generations; ++gen) {
-      std::sort(population.begin(), population.end(),
-                [](const ModelIndividual& a, const ModelIndividual& b) {
-                  return a.predicted < b.predicted;
-                });
+      std::sort(population.begin(), population.end(), by_prediction);
       const auto elite = static_cast<std::size_t>(
           std::max(2, options_.ga_elite));
       for (std::size_t i = elite; i < population.size(); ++i) {
@@ -101,31 +94,24 @@ TuningResult Rfhoc::tune(sparksim::SparkObjective& objective, int budget,
         child.predicted = model.predict(child.genes);
       }
     }
-    std::sort(population.begin(), population.end(),
-              [](const ModelIndividual& a, const ModelIndividual& b) {
-                return a.predicted < b.predicted;
-              });
-  }
+    std::sort(population.begin(), population.end(), by_prediction);
+  };
+  search_model();
 
   // ---- Phase 3: validate the model's favourites on the cluster -----------
-  // Validation stays sequential (the near-duplicate filter depends on
-  // what was already validated); in scheduler mode each evaluation is a
-  // single-eval batch so its seed stream stays index-derived and the
-  // session remains bit-identical at any parallelism.
-  const auto validate_one = [&](const std::vector<double>& unit) {
-    if (scheduler() != nullptr) {
-      evaluate_batch_into(*scheduler(), objective, {unit}, guard, result);
-    } else {
-      evaluate_into(objective, unit, guard, result);
-    }
-  };
+  // One single-evaluation round per probe: the near-duplicate filter
+  // depends on what was already validated.  A favourite that fails for
+  // good (not a transient fault) shows the forest missed a failure
+  // boundary: it joins the training set and the model is searched again
+  // before the next probe, so the remaining favourites steer clear of it.
   const int validation_budget = budget - train_count;
   obs::Span validate_span("validate", "tuners");
   validate_span.arg("budget", validation_budget);
   int validated = 0;
-  for (const auto& ind : population) {
+  for (std::size_t next = 0; next < population.size();) {
     if (validated >= validation_budget) break;
     if (paced_stop()) return result;  // cooperative cancel between probes
+    const auto& ind = population[next++];
     // Skip near-duplicates of already-validated candidates.
     bool duplicate = false;
     for (int j = 0; j < validated; ++j) {
@@ -142,15 +128,20 @@ TuningResult Rfhoc::tune(sparksim::SparkObjective& objective, int budget,
       }
     }
     if (duplicate) continue;
-    validate_one(ind.genes);
+    const auto e = evaluate_round(objective, {ind.genes}, guard, result)[0];
     ++validated;
+    if (!e.ok() && !e.transient) {
+      data.add_row(e.unit, std::log(std::max(1e-6, e.value_s)));
+      search_model();
+      next = 0;
+    }
   }
   // If dedup starved the validation phase, fill with fresh random probes.
   while (static_cast<int>(result.history.size()) < budget) {
     if (paced_stop()) break;
     std::vector<double> unit(dims);
     for (auto& u : unit) u = rng.uniform();
-    validate_one(unit);
+    evaluate_round(objective, {unit}, guard, result);
   }
   return result;
 }

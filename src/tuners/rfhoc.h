@@ -1,15 +1,18 @@
 // RFHOC-style learning-based tuner (Bei et al., TPDS 2016): train a
 // Random-Forest performance model from sampled executions, then search
 // the *model* with a genetic algorithm and evaluate its best candidates
-// on the cluster.
+// on the cluster.  A validated favourite that fails for good (OOM,
+// infeasible, over the guard) joins the training set and the model is
+// searched again, so one missed failure boundary does not sink the rest
+// of the validation phase.
 //
 // The paper deliberately excludes learning-based tuners from its
 // evaluation because they need thousands of samples ("at least 2,000
 // executions ... infeasible in most real-life scenarios", §1/§5.1).
 // This implementation exists to *demonstrate* that argument under the
 // same 100-evaluation budget the search-based tuners get
-// (bench/abl_learning_based): with ~70 training runs the surrogate is too
-// weak to guide the GA anywhere better than random sampling.
+// (bench/abl_learning_based).  There the cost side of that argument
+// holds and the quality side does not (see EXPERIMENTS.md).
 #pragma once
 
 #include "tuners/tuner.h"

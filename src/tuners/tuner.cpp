@@ -136,15 +136,6 @@ Evaluation to_evaluation(const std::vector<double>& unit,
   return e;
 }
 
-Evaluation evaluate_into(sparksim::SparkObjective& objective,
-                         const std::vector<double>& unit, GuardPolicy& guard,
-                         TuningResult& result) {
-  const auto outcome = objective.evaluate(unit, guard.current());
-  auto e = to_evaluation(unit, outcome);
-  append_evaluation(e, guard, result);
-  return e;
-}
-
 std::vector<Evaluation> evaluate_batch_into(
     exec::EvalScheduler& scheduler, sparksim::SparkObjective& objective,
     const std::vector<std::vector<double>>& units, GuardPolicy& guard,
@@ -167,6 +158,18 @@ std::vector<Evaluation> evaluate_batch_into(
     append_evaluation(evals.back(), guard, result);
   }
   return evals;
+}
+
+std::vector<Evaluation> Tuner::evaluate_round(
+    sparksim::SparkObjective& objective,
+    const std::vector<std::vector<double>>& units, GuardPolicy& guard,
+    TuningResult& result) {
+  if (scheduler_ != nullptr) {
+    return evaluate_batch_into(*scheduler_, objective, units, guard, result);
+  }
+  exec::EvalScheduler inline_scheduler;  // one worker, on this thread
+  return evaluate_batch_into(inline_scheduler, objective, units, guard,
+                             result);
 }
 
 }  // namespace robotune::tuners

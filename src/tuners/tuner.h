@@ -23,8 +23,7 @@ struct Evaluation {
   double cost_s = 0.0;       ///< wall-clock charge to the session
   sparksim::RunStatus status = sparksim::RunStatus::kOk;
   bool stopped_early = false;
-  /// Simulator attempts consumed (1 + transient retries); equals the
-  /// objective seed draws replayed on checkpoint resume.
+  /// Simulator attempts consumed (1 + transient retries).
   int attempts = 1;
   /// True when the run died of cluster flakiness after exhausting its
   /// retries: the value is censored at the guard threshold, and the
@@ -107,14 +106,11 @@ class Tuner {
 
   /// Attaches a batch-evaluation scheduler: subsequent tune() calls
   /// dispatch whole rounds (GA generations, DDS sample sets, BO batches)
-  /// through it, with evaluation seeds derived per eval index so results
-  /// are bit-identical for any scheduler parallelism (see
-  /// exec/eval_scheduler.h).  For the baseline tuners, scheduler-mode
-  /// trajectories differ from detached-mode ones — the seed streams and
-  /// per-round guard semantics differ — so compare like with like.
-  /// ROBOTune evaluates through a scheduler either way (a local
-  /// one-worker one when detached), so its results do not depend on
-  /// this.  Detach with nullptr.
+  /// through it.  Detached (nullptr, the default), the same rounds run
+  /// inline on a local one-worker scheduler.  Evaluation i of a session
+  /// runs on the objective's stream i either way, so results are
+  /// bit-identical attached or detached and at any parallelism (see
+  /// exec/eval_scheduler.h).
   void set_scheduler(exec::EvalScheduler* scheduler) noexcept {
     scheduler_ = scheduler;
   }
@@ -140,22 +136,23 @@ class Tuner {
     return cancel_ != nullptr && cancel_->load(std::memory_order_relaxed);
   }
 
+  /// Evaluates one round through evaluate_batch_into, on the attached
+  /// scheduler or, detached, on a local one-worker one.
+  std::vector<Evaluation> evaluate_round(
+      sparksim::SparkObjective& objective,
+      const std::vector<std::vector<double>>& units, GuardPolicy& guard,
+      TuningResult& result);
+
  private:
   exec::EvalScheduler* scheduler_ = nullptr;
   const std::atomic<bool>* cancel_ = nullptr;
   std::function<void()> yield_;
 };
 
-/// Helper shared by tuner implementations: evaluate a unit vector under
-/// the guard, append to the result, update the guard.
-Evaluation evaluate_into(sparksim::SparkObjective& objective,
-                         const std::vector<double>& unit, GuardPolicy& guard,
-                         TuningResult& result);
-
-/// The bookkeeping half of evaluate_into: records an already-obtained
-/// evaluation (guard update, search cost, incumbent tracking).  Checkpoint
-/// resume replays journaled evaluations through this so a resumed session
-/// rebuilds byte-identical tuner state.
+/// Records an already-obtained evaluation (guard update, search cost,
+/// incumbent tracking).  Batch evaluation and checkpoint resume both
+/// append through this, so a resumed session rebuilds byte-identical
+/// tuner state.
 ///
 /// This is also the quarantine point for non-finite objective values: a
 /// NaN/Inf value or cost is censored in place (classified like a
@@ -168,11 +165,10 @@ void append_evaluation(Evaluation& e, GuardPolicy& guard,
 Evaluation to_evaluation(const std::vector<double>& unit,
                          const sparksim::EvalOutcome& outcome);
 
-/// Batch counterpart of evaluate_into: evaluates `units` as one scheduler
-/// batch (guard threshold frozen at submission, canonical eval indices
-/// starting at result.history.size()) and appends the outcomes — guard
-/// running-median updates included — in eval-index order.  Returns the
-/// evaluations in unit order.
+/// Evaluates `units` as one scheduler batch (guard threshold frozen at
+/// submission, canonical eval indices starting at result.history.size())
+/// and appends the outcomes — guard running-median updates included — in
+/// eval-index order.  Returns the evaluations in unit order.
 std::vector<Evaluation> evaluate_batch_into(
     exec::EvalScheduler& scheduler, sparksim::SparkObjective& objective,
     const std::vector<std::vector<double>>& units, GuardPolicy& guard,

@@ -199,6 +199,24 @@ TEST(SelectionTest, EndToEndSelectionOnSimulator) {
   }
 }
 
+// Selection runs its samples under its own eval indices, so what an
+// objective evaluated before cannot change what selection sees.
+TEST(SelectionTest, IndependentOfTheObjectivesPosition) {
+  auto fresh = make_objective(WorkloadKind::kPageRank, 1, 7);
+  auto advanced = make_objective(WorkloadKind::kPageRank, 1, 7);
+  const auto unit = advanced.space().default_unit();
+  for (int i = 0; i < 40; ++i) advanced.evaluate(unit);
+  const auto joint = sparksim::spark24_joint_parameter_groups();
+  const auto a = select_parameters(fresh, joint, fast_selection());
+  const auto b = select_parameters(advanced, joint, fast_selection());
+  EXPECT_EQ(a.selected, b.selected);
+  ASSERT_EQ(a.evaluations.size(), b.evaluations.size());
+  for (std::size_t i = 0; i < a.evaluations.size(); ++i) {
+    EXPECT_EQ(a.evaluations[i].value_s, b.evaluations[i].value_s) << i;
+  }
+  EXPECT_EQ(a.sampling_cost_s, b.sampling_cost_s);
+}
+
 TEST(SelectionTest, TooFewSamplesThrows) {
   const auto space = sparksim::spark24_config_space();
   std::vector<std::vector<double>> units(3,

@@ -70,19 +70,41 @@ TEST(ForkForEvalTest, SameIndexSameOutcome) {
   EXPECT_EQ(a.cost_s, b.cost_s);
 }
 
-TEST(ForkForEvalTest, IndependentOfSequentialStreamPosition) {
+TEST(ForkForEvalTest, IndependentOfTheForkedObjectivesPosition) {
   auto fresh = make_objective(99);
   auto advanced = make_objective(99);
   const auto units = make_units(1, fresh.space().size(), 6);
-  // Run the sequential stream far ahead.
   for (int i = 0; i < 40; ++i) advanced.evaluate(units[0]);
-  ASSERT_GE(advanced.seed_draws(), 40u);
   const auto a = fresh.fork_for_eval(3).evaluate(units[0]);
   const auto b = advanced.fork_for_eval(3).evaluate(units[0]);
   EXPECT_EQ(a.value_s, b.value_s);
 }
 
-TEST(ForkForEvalTest, MergeFoldsCountersNotSeedStream) {
+// One seeding scheme: evaluation k of an objective runs on stream k, so
+// the k-th direct evaluate() equals fork_for_eval(k).evaluate() — retried
+// attempts included.
+TEST(ForkForEvalTest, KthEvaluateEqualsForkAtIndexK) {
+  auto objective = make_objective(31);
+  sparksim::FaultProfile faults;
+  ASSERT_TRUE(sparksim::FaultProfile::from_preset("severe", faults));
+  objective.set_fault_profile(faults);
+  sparksim::RetryPolicy retry;
+  retry.max_retries = 2;
+  objective.set_retry_policy(retry);
+  const auto units = make_units(24, objective.space().size(), 8);
+  const auto forker = objective;  // forks of an untouched copy
+  int retried = 0;
+  for (std::size_t k = 0; k < units.size(); ++k) {
+    const auto direct = objective.evaluate(units[k], 480.0);
+    const auto forked = forker.fork_for_eval(k).evaluate(units[k], 480.0);
+    expect_outcomes_equal({direct}, {forked});
+    if (direct.attempts > 1) ++retried;
+  }
+  EXPECT_GT(retried, 0);  // the retry path was exercised
+  EXPECT_EQ(objective.evaluations(), units.size());
+}
+
+TEST(ForkForEvalTest, MergeFoldsCounters) {
   auto objective = make_objective(17);
   const auto units = make_units(1, objective.space().size(), 7);
   auto fork = objective.fork_for_eval(0);
@@ -90,7 +112,6 @@ TEST(ForkForEvalTest, MergeFoldsCountersNotSeedStream) {
   objective.merge_fork(fork);
   EXPECT_EQ(objective.evaluations(), 1u);
   EXPECT_DOUBLE_EQ(objective.total_cost_s(), outcome.cost_s);
-  EXPECT_EQ(objective.seed_draws(), 0u);  // sequential stream untouched
 }
 
 // ---------------------------------------------------------- scheduler ----
@@ -145,7 +166,6 @@ TEST(EvalSchedulerTest, CountersMergeDeterministically) {
     for (const auto& o : outcomes) total += o.cost_s;
     EXPECT_EQ(objective.evaluations(), units.size());
     EXPECT_DOUBLE_EQ(objective.total_cost_s(), total);
-    EXPECT_EQ(objective.seed_draws(), 0u);
     if (parallelism == 1) {
       cost_serial = objective.total_cost_s();
     } else {

@@ -465,11 +465,8 @@ TEST(ObjectiveFaultsTest, ResetCountersRestoresTheSeedStream) {
   auto objective = make_faulty_objective(FaultProfile::uniform(0.2), 2);
   std::vector<EvalOutcome> first;
   for (const auto& u : units) first.push_back(objective.evaluate(u));
-  const auto draws = objective.seed_draws();
-  EXPECT_GT(draws, 0u);
 
   objective.reset_counters();
-  EXPECT_EQ(objective.seed_draws(), 0u);
   EXPECT_EQ(objective.evaluations(), 0u);
   for (std::size_t i = 0; i < units.size(); ++i) {
     const auto out = objective.evaluate(units[i]);
@@ -479,7 +476,6 @@ TEST(ObjectiveFaultsTest, ResetCountersRestoresTheSeedStream) {
     EXPECT_EQ(out.attempts, first[i].attempts);
     EXPECT_EQ(out.transient, first[i].transient);
   }
-  EXPECT_EQ(objective.seed_draws(), draws);
 }
 
 TEST(ObjectiveFaultsTest, PreemptionsRetryAndCensorLikeOtherTransients) {

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
+#include <utility>
 
 #include "common/rng.h"
 #include "common/statistics.h"
@@ -139,6 +141,154 @@ TEST(DecisionTreeTest, RandomThresholdModeStillLearns) {
   const double lo = tree.predict(std::vector<double>{0.05, 0.2, 0.5, 0.5, 0.5});
   const double hi = tree.predict(std::vector<double>{0.95, 0.8, 0.5, 0.5, 0.5});
   EXPECT_GT(hi, lo + 5.0);
+}
+
+// The naive reference split: per node and candidate feature, sort a fresh
+// copy of the node's rows by (value, row) and scan.  Everything else
+// repeats DecisionTree::build step for step (rng draws, partition, node
+// order), so the fitted trees must agree node for node, bit for bit.
+class ReferenceTree {
+ public:
+  ReferenceTree(const Dataset& data, TreeOptions options, Rng& rng)
+      : data_(data), options_(options), rng_(rng) {}
+
+  std::vector<DecisionTree::Node> fit(std::vector<std::size_t> rows) {
+    build(rows, 0, rows.size(), 0);
+    return nodes_;
+  }
+
+ private:
+  std::int32_t build(std::vector<std::size_t>& rows, std::size_t begin,
+                     std::size_t end, std::size_t depth) {
+    const std::size_t n = end - begin;
+    double node_sum = 0.0;
+    for (std::size_t i = begin; i < end; ++i) node_sum += data_.target(rows[i]);
+    const double node_mean = node_sum / static_cast<double>(n);
+    const auto leaf = [&] {
+      DecisionTree::Node node;
+      node.value = node_mean;
+      nodes_.push_back(node);
+      return static_cast<std::int32_t>(nodes_.size() - 1);
+    };
+    if (n < options_.min_samples_split ||
+        (options_.max_depth != 0 && depth >= options_.max_depth)) {
+      return leaf();
+    }
+    double parent_sse = 0.0;
+    for (std::size_t i = begin; i < end; ++i) {
+      const double d = data_.target(rows[i]) - node_mean;
+      parent_sse += d * d;
+    }
+    if (parent_sse <= 1e-12) return leaf();
+
+    const std::size_t p = data_.num_features();
+    const std::size_t mtry = std::min(options_.max_features, p);
+    std::vector<std::size_t> candidates(p);
+    std::iota(candidates.begin(), candidates.end(), std::size_t{0});
+    for (std::size_t i = 0; i < mtry; ++i) {
+      std::swap(candidates[i], candidates[i + rng_.uniform_index(p - i)]);
+    }
+    bool found = false;
+    std::size_t best_feature = 0;
+    double best_score = std::numeric_limits<double>::infinity();
+    double best_threshold = 0.0;
+    for (std::size_t c = 0; c < mtry; ++c) {
+      const std::size_t f = candidates[c];
+      std::vector<std::pair<double, std::size_t>> sorted;
+      for (std::size_t i = begin; i < end; ++i) {
+        sorted.emplace_back(data_.feature(rows[i], f), rows[i]);
+      }
+      std::sort(sorted.begin(), sorted.end());
+      double total_sum = 0.0, total_sq = 0.0;
+      for (const auto& [x, r] : sorted) {
+        total_sum += data_.target(r);
+        total_sq += data_.target(r) * data_.target(r);
+      }
+      double left_sum = 0.0, left_sq = 0.0;
+      for (std::size_t i = 0; i + 1 < n; ++i) {
+        const double y = data_.target(sorted[i].second);
+        left_sum += y;
+        left_sq += y * y;
+        if (sorted[i].first == sorted[i + 1].first) continue;
+        const std::size_t nl = i + 1, nr = n - nl;
+        if (nl < options_.min_samples_leaf || nr < options_.min_samples_leaf) {
+          continue;
+        }
+        const double right_sum = total_sum - left_sum;
+        const double score =
+            (left_sq - left_sum * left_sum / static_cast<double>(nl)) +
+            ((total_sq - left_sq) -
+             right_sum * right_sum / static_cast<double>(nr));
+        if (score < best_score) {
+          found = true;
+          best_score = score;
+          best_feature = f;
+          best_threshold = 0.5 * (sorted[i].first + sorted[i + 1].first);
+        }
+      }
+    }
+    if (!found || best_score >= parent_sse) return leaf();
+    const auto first = rows.begin() + static_cast<std::ptrdiff_t>(begin);
+    const auto mid = static_cast<std::size_t>(
+        std::partition(first, rows.begin() + static_cast<std::ptrdiff_t>(end),
+                       [&](std::size_t r) {
+                         return data_.feature(r, best_feature) <=
+                                best_threshold;
+                       }) -
+        rows.begin());
+    if (mid == begin || mid == end) return leaf();
+    const auto index = static_cast<std::int32_t>(nodes_.size());
+    nodes_.emplace_back();
+    nodes_[index].feature = best_feature;
+    nodes_[index].threshold = best_threshold;
+    nodes_[index].value = node_mean;
+    const std::int32_t left = build(rows, begin, mid, depth + 1);
+    const std::int32_t right = build(rows, mid, end, depth + 1);
+    nodes_[index].left = left;
+    nodes_[index].right = right;
+    return index;
+  }
+
+  const Dataset& data_;
+  TreeOptions options_;
+  Rng& rng_;
+  std::vector<DecisionTree::Node> nodes_;
+};
+
+TEST(DecisionTreeTest, MatchesNaiveReferenceSplitNodeForNode) {
+  // Discrete features (five levels) tie often, like Spark parameters; a
+  // bootstrap sample repeats rows and mtry < p varies the candidate order.
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    Rng data_rng(seed);
+    Dataset d(8);
+    for (int i = 0; i < 120; ++i) {
+      std::vector<double> x(8);
+      for (auto& v : x) {
+        v = 0.25 * static_cast<double>(data_rng.uniform_index(5));
+      }
+      d.add_row(x, 3.0 * x[0] + (x[1] > 0.4 ? 2.0 : 0.0) + x[2] * x[3] +
+                       data_rng.normal(0.0, 0.1));
+    }
+    std::vector<std::size_t> rows(d.num_rows());
+    for (auto& r : rows) r = data_rng.uniform_index(d.num_rows());
+    const TreeOptions options{.max_features = 3, .min_samples_leaf = 2,
+                              .min_samples_split = 4};
+    Rng tree_rng(seed + 100), ref_rng(seed + 100);
+    DecisionTree tree(options);
+    tree.fit(d, rows, tree_rng);
+    const auto reference = ReferenceTree(d, options, ref_rng).fit(rows);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ASSERT_EQ(tree.nodes().size(), reference.size());
+    ASSERT_GT(reference.size(), 20u);
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      const auto& got = tree.nodes()[i];
+      EXPECT_EQ(got.feature, reference[i].feature) << "node " << i;
+      EXPECT_EQ(got.threshold, reference[i].threshold) << "node " << i;
+      EXPECT_EQ(got.left, reference[i].left) << "node " << i;
+      EXPECT_EQ(got.right, reference[i].right) << "node " << i;
+      EXPECT_EQ(got.value, reference[i].value) << "node " << i;
+    }
+  }
 }
 
 // ------------------------------------------------------- RandomForest ----

@@ -18,11 +18,16 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sparksim/objective.h"
+#include "tuners/bestconfig.h"
+#include "tuners/gunther.h"
+#include "tuners/random_search.h"
+#include "tuners/rfhoc.h"
 
 namespace robotune {
 namespace {
 
 constexpr int kBudget = 20;
+constexpr int kSelectionSamples = 50;
 constexpr std::uint64_t kSeed = 5;
 
 sparksim::SparkObjective make_objective(bool with_faults) {
@@ -43,7 +48,7 @@ sparksim::SparkObjective make_objective(bool with_faults) {
 
 core::RoboTuneOptions fast_robotune(int batch_size) {
   core::RoboTuneOptions options;
-  options.selection.generic_samples = 50;
+  options.selection.generic_samples = kSelectionSamples;
   options.selection.forest_trees = 60;
   options.selection.permutation_repeats = 2;
   options.bo.initial_samples = 10;
@@ -165,8 +170,9 @@ TEST_F(ObsDeterminismTest, LogicalMetricsIdenticalAcrossWorkerCounts) {
   // Sanity: the logical section carries the session's event totals.
   EXPECT_EQ(logical[0].counters.at("evals.total"),
             static_cast<std::uint64_t>(kBudget));
+  // Parameter selection dispatches its samples as one batch as well.
   EXPECT_EQ(logical[0].counters.at("exec.evals_dispatched"),
-            static_cast<std::uint64_t>(kBudget));
+            static_cast<std::uint64_t>(kBudget + kSelectionSamples));
   EXPECT_GE(logical[0].counters.at("objective.attempts"),
             static_cast<std::uint64_t>(kBudget));
   EXPECT_EQ(logical[0].histograms.at("evals.value_s").total,
@@ -174,6 +180,43 @@ TEST_F(ObsDeterminismTest, LogicalMetricsIdenticalAcrossWorkerCounts) {
   // And no scheduling-dependent name leaked into it.
   for (const auto& [name, value] : logical[0].counters) {
     EXPECT_FALSE(obs::is_runtime_metric(name)) << name;
+  }
+}
+
+TEST_F(ObsDeterminismTest, BaselineLogicalMetricsIdenticalAcrossWorkerCounts) {
+  // The baselines' rounds are fixed by their options, so batch counts and
+  // every other logical metric match detached, at 1 and at 4 workers.
+  constexpr int kBaselineBudget = 60;  // two Random Search rounds
+  for (const std::string name : {"RS", "Gunther", "BestConfig", "RFHOC"}) {
+    SCOPED_TRACE(name);
+    std::vector<obs::MetricsSnapshot> logical;
+    for (const int parallelism : {0, 1, 4}) {  // 0 = detached
+      std::unique_ptr<tuners::Tuner> tuner;
+      if (name == "RS") tuner = std::make_unique<tuners::RandomSearch>();
+      if (name == "Gunther") tuner = std::make_unique<tuners::Gunther>();
+      if (name == "BestConfig") {
+        tuner = std::make_unique<tuners::BestConfig>();
+      }
+      if (name == "RFHOC") tuner = std::make_unique<tuners::Rfhoc>();
+      std::unique_ptr<exec::EvalScheduler> scheduler;
+      if (parallelism > 0) {
+        scheduler = std::make_unique<exec::EvalScheduler>(
+            exec::SchedulerOptions{.parallelism = parallelism});
+        tuner->set_scheduler(scheduler.get());
+      }
+      auto objective = make_objective(/*with_faults=*/true);
+      obs::metrics().reset();
+      tuner->tune(objective, kBaselineBudget, kSeed);
+      scheduler.reset();  // join the workers before the snapshot
+      logical.push_back(obs::metrics().snapshot().logical());
+    }
+    EXPECT_EQ(logical[0], logical[1]);
+    EXPECT_EQ(logical[0], logical[2]);
+    EXPECT_EQ(logical[0].counters.at("evals.total"),
+              static_cast<std::uint64_t>(kBaselineBudget));
+    if (name == "RS") {
+      EXPECT_EQ(logical[0].counters.at("exec.batches"), 2u);
+    }
   }
 }
 

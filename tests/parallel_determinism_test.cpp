@@ -1,6 +1,6 @@
 // Tier-1 determinism suite for the parallel batch-evaluation subsystem:
-// every tuner driven through an EvalScheduler must produce bit-identical
-// results at any worker count (1, 4, hardware_concurrency), with and
+// every tuner must produce bit-identical results detached and on an
+// EvalScheduler at any worker count (1, 4, hardware_concurrency), with and
 // without fault injection, and across checkpoint kill/resume — including
 // journals written in out-of-order completion order.
 #include <gtest/gtest.h>
@@ -68,6 +68,9 @@ std::unique_ptr<tuners::Tuner> make_tuner(const std::string& name) {
   return std::make_unique<tuners::RandomSearch>();
 }
 
+/// `parallelism` for a tuner with no scheduler attached.
+constexpr int kDetached = -1;
+
 tuners::TuningResult run_tuner(const std::string& name, int parallelism,
                                bool with_faults) {
   auto objective = make_objective(with_faults);
@@ -75,8 +78,13 @@ tuners::TuningResult run_tuner(const std::string& name, int parallelism,
   exec::SchedulerOptions options;
   options.parallelism = parallelism;
   exec::EvalScheduler scheduler(options);
-  tuner->set_scheduler(&scheduler);
+  if (parallelism != kDetached) tuner->set_scheduler(&scheduler);
   return tuner->tune(objective, kBudget, kSeed);
+}
+
+std::string label(int parallelism) {
+  if (parallelism == kDetached) return "detached";
+  return "parallelism " + std::to_string(parallelism);
 }
 
 void expect_results_equal(const tuners::TuningResult& a,
@@ -108,9 +116,10 @@ TEST(ParallelDeterminismTest, EveryTunerBitIdenticalAcrossWorkerCounts) {
     const auto serial = run_tuner(name, 1, /*with_faults=*/false);
     ASSERT_EQ(serial.history.size(), static_cast<std::size_t>(kBudget))
         << name;
-    for (int parallelism : {4, 0}) {  // 0 = hardware_concurrency
+    // 0 = hardware_concurrency; detached = the tuner's own inline rounds.
+    for (int parallelism : {4, 0, kDetached}) {
       const auto parallel = run_tuner(name, parallelism, false);
-      SCOPED_TRACE(name + " @ parallelism " + std::to_string(parallelism));
+      SCOPED_TRACE(name + " @ " + label(parallelism));
       expect_results_equal(serial, parallel);
     }
   }
@@ -119,9 +128,9 @@ TEST(ParallelDeterminismTest, EveryTunerBitIdenticalAcrossWorkerCounts) {
 TEST(ParallelDeterminismTest, EveryTunerBitIdenticalUnderFaultInjection) {
   for (const auto& name : tuner_names()) {
     const auto serial = run_tuner(name, 1, /*with_faults=*/true);
-    for (int parallelism : {4, 0}) {
+    for (int parallelism : {4, 0, kDetached}) {
       const auto parallel = run_tuner(name, parallelism, true);
-      SCOPED_TRACE(name + " @ parallelism " + std::to_string(parallelism));
+      SCOPED_TRACE(name + " @ " + label(parallelism));
       expect_results_equal(serial, parallel);
     }
   }

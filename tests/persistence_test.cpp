@@ -155,7 +155,6 @@ SessionCheckpoint journal_checkpoint() {
   s.budget = 20;
   s.workload = "TeraSort";
   s.selected = {0, 1, 29};
-  s.selection_seed_draws = 60;
   s.selection_cost_s = 1234.5;
   s.memoized.push_back({{0.12345678901234567, 0.5}, 99.25});
   for (int i = 0; i < 6; ++i) {
@@ -238,6 +237,30 @@ TEST(SessionJournalV3Test, RoundTripsIncludingDegradeEvents) {
   EXPECT_EQ(loaded.evaluations[4].status, sparksim::RunStatus::kKilled);
   expect_prefix_of(loaded, original);
   EXPECT_EQ(loaded.evaluations.size(), original.evaluations.size());
+}
+
+TEST(SessionJournalV3Test, OlderSelectionDrawsRecordIsReadAndDiscarded) {
+  // Older releases wrote `selection-draws <n>` after `selected`; such a
+  // journal still loads, and saving it again drops the record.
+  const auto original = journal_checkpoint();
+  std::stringstream stream;
+  save_session(original, stream);
+  const std::string text = stream.str();
+  EXPECT_EQ(text.find("selection-draws"), std::string::npos);
+  const std::string selected = frame_message("selected 3 0 1 29");
+  const auto at = text.find(selected);
+  ASSERT_NE(at, std::string::npos);
+  std::string older = text;
+  older.insert(at + selected.size(), frame_message("selection-draws 60"));
+
+  SessionCheckpoint loaded;
+  std::istringstream in(older);
+  load_session(in, loaded, LoadMode::kStrict);
+  expect_prefix_of(loaded, original);
+  EXPECT_EQ(loaded.evaluations.size(), original.evaluations.size());
+  std::stringstream again;
+  save_session(loaded, again);
+  EXPECT_EQ(again.str(), text);
 }
 
 TEST(SessionJournalV3Test, MalformedFieldsThrowWithSourceAndLine) {

@@ -46,7 +46,6 @@ SessionCheckpoint sample_checkpoint() {
   s.budget = 20;
   s.workload = "TeraSort";
   s.selected = {0, 1, 29};
-  s.selection_seed_draws = 60;
   s.selection_cost_s = 1234.5;
   s.memoized.push_back({{0.12345678901234567, 0.5}, 99.25});
   EvalRecord ok;
@@ -78,7 +77,6 @@ void expect_checkpoints_equal(const SessionCheckpoint& a,
   EXPECT_EQ(a.budget, b.budget);
   EXPECT_EQ(a.workload, b.workload);
   EXPECT_EQ(a.selected, b.selected);
-  EXPECT_EQ(a.selection_seed_draws, b.selection_seed_draws);
   EXPECT_DOUBLE_EQ(a.selection_cost_s, b.selection_cost_s);
   ASSERT_EQ(a.memoized.size(), b.memoized.size());
   for (std::size_t i = 0; i < a.memoized.size(); ++i) {

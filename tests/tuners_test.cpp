@@ -1,12 +1,17 @@
 // Tests for the tuner infrastructure and the three baseline tuners.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <limits>
+#include <memory>
+#include <optional>
+#include <string>
 
 #include "sparksim/objective.h"
 #include "tuners/bestconfig.h"
 #include "tuners/gunther.h"
 #include "tuners/random_search.h"
+#include "tuners/rfhoc.h"
 #include "tuners/tuner.h"
 
 namespace robotune::tuners {
@@ -117,12 +122,15 @@ TEST(GuardPolicyTest, EarlyStoppedAndFailedRunsNeverEnterTheMedian) {
   EXPECT_DOUBLE_EQ(guard.current(), 100.0);
 }
 
-TEST(EvaluateIntoTest, ChargesExactlyTheThresholdOnEarlyStop) {
+TEST(EvaluateBatchIntoTest, ChargesExactlyTheThresholdOnEarlyStop) {
   auto objective = make_objective(30);
   GuardPolicy guard(30.0, 0.0);  // far below any real execution time
   TuningResult result;
-  const auto e = evaluate_into(objective, objective.space().default_unit(),
-                               guard, result);
+  exec::EvalScheduler inline_scheduler;
+  const auto e = evaluate_batch_into(inline_scheduler, objective,
+                                     {objective.space().default_unit()},
+                                     guard, result)
+                     .front();
   EXPECT_TRUE(e.stopped_early);
   EXPECT_EQ(e.status, RunStatus::kTimeLimit);
   EXPECT_DOUBLE_EQ(e.value_s, 30.0);
@@ -151,8 +159,8 @@ TEST(TuningResultTest, BestTrackingPrefersSuccessfulRuns) {
       objective.space()
           .spec(*objective.space().index_of("spark.executor.memory.mb"))
           .encode(32768);
-  evaluate_into(objective, bad, guard, result);
-  evaluate_into(objective, good, guard, result);
+  exec::EvalScheduler inline_scheduler;
+  evaluate_batch_into(inline_scheduler, objective, {bad, good}, guard, result);
   EXPECT_TRUE(result.found_any());
   EXPECT_EQ(result.best_index, result.history[0].ok() ? 0u : 1u);
 }
@@ -327,6 +335,49 @@ TEST_P(AllTunersTest, EveryTunerFindsAWorkingConfiguration) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Tuners, AllTunersTest, ::testing::Range(0, 3));
+
+// ------------------------------------------------ cancel at round ends ----
+
+std::unique_ptr<Tuner> make_baseline(const std::string& name) {
+  if (name == "RS") return std::make_unique<RandomSearch>();
+  if (name == "Gunther") return std::make_unique<Gunther>();
+  if (name == "BestConfig") return std::make_unique<BestConfig>();
+  return std::make_unique<Rfhoc>();
+}
+
+// A cancel that is already set stops every baseline at its first round
+// boundary, detached and on a scheduler.  The first boundary is where an
+// uncancelled run first reaches its pacing point.
+TEST(CancelTest, EveryBaselineStopsAtItsFirstRoundBoundary) {
+  constexpr int kBudget = 40;
+  for (const std::string name : {"RS", "Gunther", "BestConfig", "RFHOC"}) {
+    for (const int workers : {0, 4}) {  // 0 = detached
+      SCOPED_TRACE(name + " on " + std::to_string(workers) + " workers");
+      std::optional<exec::EvalScheduler> scheduler;
+      if (workers > 0) {
+        scheduler.emplace(exec::SchedulerOptions{.parallelism = workers});
+      }
+
+      auto objective = make_objective(5);
+      auto tuner = make_baseline(name);
+      if (scheduler) tuner->set_scheduler(&*scheduler);
+      std::optional<std::size_t> first_boundary;
+      tuner->set_pacing(nullptr, [&] {
+        if (!first_boundary) first_boundary = objective.evaluations();
+      });
+      ASSERT_EQ(tuner->tune(objective, kBudget, 3).history.size(),
+                static_cast<std::size_t>(kBudget));
+      ASSERT_TRUE(first_boundary.has_value()) << "never paced";
+      ASSERT_LT(*first_boundary, static_cast<std::size_t>(kBudget));
+
+      auto cancelled_objective = make_objective(5);
+      const std::atomic<bool> cancel{true};
+      tuner->set_pacing(&cancel, nullptr);
+      const auto cancelled = tuner->tune(cancelled_objective, kBudget, 3);
+      EXPECT_LE(cancelled.history.size(), *first_boundary);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace robotune::tuners
