@@ -7,14 +7,17 @@
 // rounds — detached sessions run them on a local one-worker scheduler —
 // and ask/tell), and check that resuming from a journal cut at
 // any point — inside the initial design, mid-round, in the BO phase —
-// rewrites the uninterrupted journal byte for byte.
+// rewrites the uninterrupted journal byte for byte.  The baseline tuners
+// write no journal, so their histories are pinned the same way.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -26,6 +29,10 @@
 #include "core/session.h"
 #include "service/client.h"
 #include "service/session_manager.h"
+#include "tuners/bestconfig.h"
+#include "tuners/gunther.h"
+#include "tuners/random_search.h"
+#include "tuners/rfhoc.h"
 
 namespace robotune {
 namespace {
@@ -128,6 +135,58 @@ TEST(JournalPinTest, SchedulerSessionsKeepTheirBytesAtAnyWorkerCount) {
     spec.batch = 4;
     SCOPED_TRACE("parallel " + std::to_string(parallel));
     expect_pin(run_session(spec), pin);
+  }
+}
+
+/// One line per evaluation: index, status, value and unit, every double
+/// printed %.17g so the text is the exact bits.
+std::string history_text(const tuners::TuningResult& result) {
+  std::string text;
+  char buf[32];
+  for (std::size_t i = 0; i < result.history.size(); ++i) {
+    const auto& e = result.history[i];
+    text += std::to_string(i) + " " + sparksim::to_string(e.status);
+    std::snprintf(buf, sizeof(buf), " %.17g", e.value_s);
+    text += buf;
+    for (double u : e.unit) {
+      std::snprintf(buf, sizeof(buf), " %.17g", u);
+      text += buf;
+    }
+    text += '\n';
+  }
+  return text;
+}
+
+// The baselines' trajectories, so a constant that replaces an option
+// cannot drift unseen.  BestConfig runs twice: its default sample set
+// (100) spends a budget of 40 on one DDS round, and a set of 10 reaches
+// bound-and-search.
+TEST(JournalPinTest, BaselineTunersKeepTheirHistories) {
+  struct Case {
+    const char* name;
+    std::unique_ptr<tuners::Tuner> tuner;
+    Pin pin;
+  };
+  tuners::BestConfigOptions small_sets;
+  small_sets.sample_set_size = 10;
+  Case cases[] = {
+      {"RS", std::make_unique<tuners::RandomSearch>(), {0xa4707dfcu, 36144}},
+      {"Gunther", std::make_unique<tuners::Gunther>(), {0xf3cef0b4u, 36062}},
+      {"BestConfig", std::make_unique<tuners::BestConfig>(),
+       {0x94ccea3fu, 36148}},
+      {"BestConfig/10", std::make_unique<tuners::BestConfig>(small_sets),
+       {0xd4d2cd33u, 36210}},
+      {"RFHOC", std::make_unique<tuners::Rfhoc>(), {0x992ecd9au, 36213}},
+  };
+  for (auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    sparksim::SparkObjective objective(
+        sparksim::ClusterSpec{},
+        sparksim::make_workload(sparksim::WorkloadKind::kTeraSort, 1),
+        sparksim::spark24_config_space(), 13);
+    const auto result = c.tuner->tune(objective, 40, 5);
+    ASSERT_EQ(result.history.size(), 40u);
+    expect_pin(history_text(result), c.pin);
   }
 }
 
