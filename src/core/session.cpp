@@ -1,7 +1,6 @@
 #include "core/session.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -11,6 +10,7 @@
 #include <utility>
 
 #include "common/frame.h"
+#include "common/numbers.h"
 #include "core/external.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -40,53 +40,6 @@ bool known_tuner(const std::string& name) {
          name == "rs";
 }
 
-std::string format_double(double v) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", v);
-  return buffer;
-}
-
-// Strict numeric field parsers: the spec is the determinism contract,
-// so a malformed value (`seed=abc` silently becoming 0) must fail the
-// decode the same way an unknown key does — otherwise a restart could
-// replay a different session than the one that was started.
-
-bool parse_spec_int(const std::string& text, int& out) {
-  if (text.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const long value = std::strtol(text.c_str(), &end, 10);
-  if (errno != 0 || end != text.c_str() + text.size()) return false;
-  if (value < std::numeric_limits<int>::min() ||
-      value > std::numeric_limits<int>::max()) {
-    return false;
-  }
-  out = static_cast<int>(value);
-  return true;
-}
-
-bool parse_spec_u64(const std::string& text, std::uint64_t& out) {
-  // strtoull silently wraps negatives ("-1" → 2^64-1): reject them.
-  if (text.empty() || text[0] == '-' || text[0] == '+') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end != text.c_str() + text.size()) return false;
-  out = static_cast<std::uint64_t>(value);
-  return true;
-}
-
-bool parse_spec_double(const std::string& text, double& out) {
-  if (text.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (errno != 0 || end != text.c_str() + text.size()) return false;
-  if (!std::isfinite(value)) return false;
-  out = value;
-  return true;
-}
-
 }  // namespace
 
 bool parse_fault_profile(const std::string& text,
@@ -102,9 +55,11 @@ bool parse_fault_profile(const std::string& text,
     const std::size_t eq = item.find('=');
     if (eq == std::string::npos) return false;
     const std::string key = item.substr(0, eq);
-    char* end = nullptr;
-    const double value = std::strtod(item.c_str() + eq + 1, &end);
-    if (end == item.c_str() + eq + 1) return false;
+    double value = 0.0;
+    if (!parse_double(item.substr(eq + 1), value)) return false;
+    // The three rates are probabilities; the slowdown is any finite
+    // factor.
+    if (key != "slowdown" && (value < 0.0 || value > 1.0)) return false;
     if (key == "loss") {
       out.executor_loss_per_stage = value;
     } else if (key == "fetch") {
@@ -230,37 +185,37 @@ bool decode_spec_body(const std::string& body, SessionSpec& spec,
     if (key == "workload") {
       parsed.workload = value;
     } else if (key == "dataset") {
-      numeric_ok = parse_spec_int(value, parsed.dataset);
+      numeric_ok = parse_int(value, parsed.dataset);
     } else if (key == "tuner") {
       parsed.tuner = value;
     } else if (key == "budget") {
-      numeric_ok = parse_spec_int(value, parsed.budget);
+      numeric_ok = parse_int(value, parsed.budget);
     } else if (key == "seed") {
-      numeric_ok = parse_spec_u64(value, parsed.seed);
+      numeric_ok = parse_u64(value, parsed.seed);
     } else if (key == "metric") {
       parsed.metric = value;
     } else if (key == "fault") {
       parsed.fault_profile = value;
     } else if (key == "retries") {
-      numeric_ok = parse_spec_int(value, parsed.retries);
+      numeric_ok = parse_int(value, parsed.retries);
     } else if (key == "preempt") {
-      numeric_ok = parse_spec_double(value, parsed.preempt_rate);
+      numeric_ok = parse_double(value, parsed.preempt_rate);
     } else if (key == "parallel") {
-      numeric_ok = parse_spec_int(value, parsed.parallel);
+      numeric_ok = parse_int(value, parsed.parallel);
     } else if (key == "batch") {
-      numeric_ok = parse_spec_int(value, parsed.batch);
+      numeric_ok = parse_int(value, parsed.batch);
     } else if (key == "racing") {
       parsed.racing = value;
     } else if (key == "deadline") {
-      numeric_ok = parse_spec_double(value, parsed.eval_deadline);
+      numeric_ok = parse_double(value, parsed.eval_deadline);
     } else if (key == "init") {
-      numeric_ok = parse_spec_int(value, parsed.init);
+      numeric_ok = parse_int(value, parsed.init);
     } else if (key == "selsamples") {
-      numeric_ok = parse_spec_int(value, parsed.selection_samples);
+      numeric_ok = parse_int(value, parsed.selection_samples);
     } else if (key == "surrogate") {
       parsed.surrogate = value;
     } else if (key == "rff") {
-      numeric_ok = parse_spec_int(value, parsed.rff_features);
+      numeric_ok = parse_int(value, parsed.rff_features);
     } else if (key == "refit") {
       parsed.refit = value;
     } else if (key == "mode") {

@@ -218,7 +218,8 @@ class Session {
 };
 
 /// Parses a fault-profile string (preset name or "loss=F,fetch=F,..."
-/// list); shared by the CLI and the spec decoder.
+/// list); shared by the CLI and the spec decoder.  The rates loss, fetch
+/// and straggler must be in [0, 1] and slowdown finite.
 bool parse_fault_profile(const std::string& text, sparksim::FaultProfile& out);
 
 class SessionFactory {

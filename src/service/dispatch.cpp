@@ -3,21 +3,15 @@
 // benches exercise exactly what the daemon executes — including the
 // per-verb telemetry wrapped around every request (DESIGN.md §14).
 #include <chrono>
-#include <cstdio>
 #include <sstream>
 
+#include "common/numbers.h"
 #include "service/session_manager.h"
 #include "service/telemetry.h"
 
 namespace robotune::service {
 
 namespace {
-
-std::string format_double(double v) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", v);
-  return buffer;
-}
 
 std::string format_unit(const std::vector<double>& unit) {
   std::ostringstream out;

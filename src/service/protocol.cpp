@@ -1,9 +1,9 @@
 #include "service/protocol.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <utility>
+
+#include "common/numbers.h"
 
 namespace robotune::service {
 
@@ -26,20 +26,6 @@ int hex_value(char c) {
   if (c >= 'a' && c <= 'f') return c - 'a' + 10;
   if (c >= 'A' && c <= 'F') return c - 'A' + 10;
   return -1;
-}
-
-std::uint64_t parse_u64(const std::string& value) {
-  return static_cast<std::uint64_t>(
-      std::strtoull(value.c_str(), nullptr, 10));
-}
-
-/// %.17g round-trips every double losslessly — the same convention the
-/// journal and the dispatch layer use, so a tell's tuple survives the
-/// wire bit-exact (which is what makes duplicate detection exact).
-std::string format_double(double v) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", v);
-  return buffer;
 }
 
 /// Splits a payload into its leading type token and key=value pairs
@@ -162,16 +148,17 @@ bool decode_request(const std::string& payload, Request& request,
   }
   request = Request{};
   for (const auto& [key, value] : pairs) {
+    bool numeric_ok = true;
     if (key == "verb") {
       request.verb = value;
     } else if (key == "rid") {
-      request.rid = parse_u64(value);
+      numeric_ok = parse_u64(value, request.rid);
     } else if (key == "session") {
-      request.session = parse_u64(value);
+      numeric_ok = parse_u64(value, request.session);
     } else if (key == "from") {
-      request.from = parse_u64(value);
+      numeric_ok = parse_u64(value, request.from);
     } else if (key == "limit") {
-      request.limit = parse_u64(value);
+      numeric_ok = parse_u64(value, request.limit);
     } else if (key == "spec") {
       request.spec_body = value;
     } else if (key == "derive_seed") {
@@ -179,19 +166,27 @@ bool decode_request(const std::string& payload, Request& request,
     } else if (key == "format") {
       request.format = value;
     } else if (key == "eval") {
-      request.eval = parse_u64(value);
+      numeric_ok = parse_u64(value, request.eval);
       request.has_observation = true;
     } else if (key == "value") {
-      request.value_s = std::strtod(value.c_str(), nullptr);
+      // Times are finite and non-negative: a NaN would never compare
+      // equal to its own re-delivery, and garbage must not read as 0 s.
+      numeric_ok = parse_double(value, request.value_s) &&
+                   request.value_s >= 0.0;
       request.has_observation = true;
     } else if (key == "cost") {
-      request.cost_s = std::strtod(value.c_str(), nullptr);
+      numeric_ok =
+          parse_double(value, request.cost_s) && request.cost_s >= 0.0;
       request.has_observation = true;
     } else if (key == "status") {
       request.status = value;
       request.has_observation = true;
     } else {
       error = "unknown request key '" + key + "'";
+      return false;
+    }
+    if (!numeric_ok) {
+      error = "bad number in request key '" + key + "': '" + value + "'";
       return false;
     }
   }
@@ -227,7 +222,10 @@ bool decode_response(const std::string& payload, Response& response,
   response = Response{};
   for (auto& [key, value] : pairs) {
     if (key == "rid") {
-      response.rid = parse_u64(value);
+      if (!parse_u64(value, response.rid)) {
+        error = "bad number in response key 'rid': '" + value + "'";
+        return false;
+      }
     } else if (key == "ok") {
       response.ok = value == "1";
     } else if (key == "error") {

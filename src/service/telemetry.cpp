@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <limits>
 
+#include "common/numbers.h"
 #include "obs/prometheus.h"
 
 namespace robotune::service {
@@ -14,12 +15,6 @@ constexpr std::string_view kVerbs[] = {
     "start",  "suggest", "observe",  "checkpoint",
     "cancel", "status",  "shutdown", "metrics",
 };
-
-std::string format_double(double v) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", v);
-  return buffer;
-}
 
 std::string format_us(double v) {
   char buffer[32];

@@ -312,11 +312,58 @@ TEST(ServiceSpecTest, SpecBodyRejectsMalformedNumericValues) {
            {"deadline", "soon"},
            {"surrogate", "bogus"},
            {"refit", "sometimes"},
-           {"rff", "-1"}}) {
+           {"rff", "-1"},
+           // Fault rates are probabilities, the slowdown a finite factor.
+           {"fault", "loss=0.1abc"},
+           {"fault", "loss=nan"},
+           {"fault", "loss=-4"},
+           {"fault", "fetch=1.5"},
+           {"fault", "straggler=0.1,slowdown=inf"}}) {
     core::SessionSpec spec;
     EXPECT_FALSE(
         core::decode_spec_body(swap_field(key, value), spec, &error))
         << key << '=' << value;
+  }
+}
+
+TEST(ServiceProtocolTest, RequestRejectsMalformedNumbers) {
+  // A tell of `value=abc` must not be journaled as a 0-second best, and a
+  // NaN value would never compare equal to its own retry.
+  const std::string good =
+      "req verb=observe rid=5 session=1 from=2 limit=3 eval=4 value=61.5 "
+      "cost=64 status=ok";
+  service::Request request;
+  std::string error;
+  ASSERT_TRUE(service::decode_request(good, request, error)) << error;
+  EXPECT_EQ(request.eval, 4u);
+  EXPECT_EQ(request.value_s, 61.5);
+
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"rid", "x"},
+           {"rid", "-1"},
+           {"session", "1e3"},
+           {"from", ""},
+           {"limit", "+3"},
+           {"limit", "99999999999999999999999"},
+           {"eval", "-1"},
+           {"eval", "4x"},
+           {"value", "abc"},
+           {"value", "nan"},
+           {"value", "1e999"},
+           {"value", "-1"},
+           {"value", "inf"},
+           {"cost", "1.5s"},
+           {"cost", "-0.5"},
+           {"cost", "nan"}}) {
+    std::string payload = good;
+    const std::size_t at = payload.find(" " + key + "=") + 1;
+    const std::size_t end = payload.find(' ', at);
+    payload.replace(at, end == std::string::npos ? end : end - at,
+                    key + "=" + value);
+    service::Request back;
+    EXPECT_FALSE(service::decode_request(payload, back, error))
+        << payload;
   }
 }
 
