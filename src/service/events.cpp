@@ -397,27 +397,23 @@ bool EventJournal::open(const Options& options, std::string* error) {
     }
     return false;
   }
-  bytes_ = static_cast<std::size_t>(fs::file_size(options_.path, ec));
-  if (ec) bytes_ = 0;
-  if (bytes_ == 0) {
-    std::string err;
-    if (!open_fresh_locked(&err)) {
-      if (error != nullptr) *error = err;
-      return false;
-    }
-  }
-  return true;
-}
-
-bool EventJournal::open_fresh_locked(std::string* error) {
-  if (file_ != nullptr) std::fclose(file_);
-  file_ = std::fopen(options_.path.c_str(), "wb");
-  if (file_ == nullptr) {
+  // Sized through the handle itself: an empty file gets its header through
+  // the same handle, and nothing reopens (or truncates) a file with data.
+  const long size =
+      std::fseek(file_, 0, SEEK_END) == 0 ? std::ftell(file_) : -1;
+  if (size < 0) {
+    std::fclose(file_);
+    file_ = nullptr;
     if (error != nullptr) {
-      *error = "cannot open event journal " + options_.path;
+      *error = "cannot size event journal " + options_.path;
     }
     return false;
   }
+  bytes_ = static_cast<std::size_t>(size);
+  return bytes_ > 0 || write_header_locked(error);
+}
+
+bool EventJournal::write_header_locked(std::string* error) {
   std::string header(kHeader);
   header.push_back('\n');
   if (std::fwrite(header.data(), 1, header.size(), file_) != header.size()) {
@@ -487,8 +483,10 @@ void EventJournal::rotate_locked() {
     }
     fs::rename(options_.path, rotated_path(options_, 1), ec);
   }
-  // The fresh file continues the same monotonic sequence.
-  open_fresh_locked(nullptr);
+  // The fresh file continues the same monotonic sequence.  A file that
+  // cannot be opened drops the journal, like a failed write.
+  file_ = std::fopen(options_.path.c_str(), "wb");
+  if (file_ != nullptr) write_header_locked(nullptr);
 }
 
 std::vector<std::string> EventJournal::chain() const {

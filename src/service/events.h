@@ -156,7 +156,8 @@ class EventJournal {
 
  private:
   void rotate_locked();
-  bool open_fresh_locked(std::string* error);
+  /// Writes the header to the open, empty file_; on failure closes it.
+  bool write_header_locked(std::string* error);
 
   mutable std::mutex mutex_;
   Options options_;
