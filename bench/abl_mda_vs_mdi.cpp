@@ -37,7 +37,9 @@ int main() {
     const auto mdi = rf.mdi_importance();
     std::vector<ml::FeatureGroup> groups;
     for (std::size_t f = 0; f < 6; ++f) {
-      groups.push_back({"x" + std::to_string(f), {f}});
+      std::string name = "x";
+      name += std::to_string(f);
+      groups.push_back({name, {f}});
     }
     const auto mda = ml::permutation_importance(rf, groups, {.repeats = 5});
     std::printf("\nsynthetic (x0 binary signal, x1..x5 continuous noise):\n");

@@ -1,5 +1,7 @@
 #include "sparksim/workload.h"
 
+#include <utility>
+
 #include "common/error.h"
 
 namespace robotune::sparksim {
@@ -50,7 +52,6 @@ WorkloadSpec make_pagerank(int dataset) {
   const double input = pages_m[dataset - 1] * 1.2;
   WorkloadSpec w;
   w.kind = WorkloadKind::kPageRank;
-  w.dataset_label = "D" + std::to_string(dataset);
   w.input_gb = input;
   w.cached_gb = input * 6.0;  // adjacency lists as Java objects (5-10x on-disk)
   w.iterations = 8;
@@ -94,7 +95,6 @@ WorkloadSpec make_connected_components(int dataset) {
   const double input = pages_m[dataset - 1] * 1.2;
   WorkloadSpec w;
   w.kind = WorkloadKind::kConnectedComponents;
-  w.dataset_label = "D" + std::to_string(dataset);
   w.input_gb = input;
   w.cached_gb = input * 5.5;
   w.iterations = 7;
@@ -139,7 +139,6 @@ WorkloadSpec make_kmeans(int dataset) {
   const double input = points_m[dataset - 1] * 0.1;
   WorkloadSpec w;
   w.kind = WorkloadKind::kKMeans;
-  w.dataset_label = "D" + std::to_string(dataset);
   w.input_gb = input;
   w.cached_gb = input * 5.0;  // boxed java vectors with object headers
   w.iterations = 10;
@@ -178,7 +177,6 @@ WorkloadSpec make_logistic_regression(int dataset) {
   const double input = examples_m[dataset - 1] * 0.2;
   WorkloadSpec w;
   w.kind = WorkloadKind::kLogisticRegression;
-  w.dataset_label = "D" + std::to_string(dataset);
   w.input_gb = input;
   w.cached_gb = input * 0.5;  // compact dense feature vectors
   w.iterations = 5;
@@ -217,7 +215,6 @@ WorkloadSpec make_terasort(int dataset) {
   const double input = sizes[dataset - 1];
   WorkloadSpec w;
   w.kind = WorkloadKind::kTeraSort;
-  w.dataset_label = "D" + std::to_string(dataset);
   w.input_gb = input;
   w.cached_gb = 0.0;
   w.iterations = 1;
@@ -245,19 +242,25 @@ WorkloadSpec make_terasort(int dataset) {
 
 WorkloadSpec make_workload(WorkloadKind kind, int dataset) {
   require(dataset >= 1 && dataset <= 3, "make_workload: dataset must be 1-3");
-  switch (kind) {
-    case WorkloadKind::kPageRank:
-      return make_pagerank(dataset);
-    case WorkloadKind::kKMeans:
-      return make_kmeans(dataset);
-    case WorkloadKind::kConnectedComponents:
-      return make_connected_components(dataset);
-    case WorkloadKind::kLogisticRegression:
-      return make_logistic_regression(dataset);
-    case WorkloadKind::kTeraSort:
-      return make_terasort(dataset);
-  }
-  throw InvalidArgument("make_workload: unknown kind");
+  WorkloadSpec w = [&] {
+    switch (kind) {
+      case WorkloadKind::kPageRank:
+        return make_pagerank(dataset);
+      case WorkloadKind::kKMeans:
+        return make_kmeans(dataset);
+      case WorkloadKind::kConnectedComponents:
+        return make_connected_components(dataset);
+      case WorkloadKind::kLogisticRegression:
+        return make_logistic_regression(dataset);
+      case WorkloadKind::kTeraSort:
+        return make_terasort(dataset);
+    }
+    throw InvalidArgument("make_workload: unknown kind");
+  }();
+  std::string label = "D";
+  label += std::to_string(dataset);
+  w.dataset_label = std::move(label);
+  return w;
 }
 
 }  // namespace robotune::sparksim

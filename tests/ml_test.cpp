@@ -395,7 +395,9 @@ TEST(PermutationImportanceTest, IdentifiesPlantedFeatures) {
   rf.fit(d);
   std::vector<FeatureGroup> groups;
   for (std::size_t f = 0; f < 5; ++f) {
-    groups.push_back({"f" + std::to_string(f), {f}});
+    std::string name = "f";
+    name += std::to_string(f);
+    groups.push_back({name, {f}});
   }
   const auto results = permutation_importance(rf, groups, {.repeats = 5});
   // Results are sorted descending; the two informative features first.
@@ -513,7 +515,9 @@ TEST(PermutationImportanceTest, PathCacheBitIdenticalForSingletonGroups) {
   rf.fit(d);
   std::vector<FeatureGroup> groups;
   for (std::size_t f = 0; f < 8; ++f) {
-    groups.push_back({"f" + std::to_string(f), {f}});
+    std::string name = "f";
+    name += std::to_string(f);
+    groups.push_back({name, {f}});
   }
   expect_bit_identical_importance(rf, groups);
 }
@@ -586,7 +590,9 @@ std::uint64_t tree_walks_of_fixed_importance(bool parallel_training) {
   rf.fit(d);
   std::vector<FeatureGroup> groups;
   for (std::size_t f = 0; f < 6; ++f) {
-    groups.push_back({"f" + std::to_string(f), {f}});
+    std::string name = "f";
+    name += std::to_string(f);
+    groups.push_back({name, {f}});
   }
   const auto before =
       obs::metrics().snapshot().counters["ml.importance.tree_walks"];
