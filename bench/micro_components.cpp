@@ -1,15 +1,11 @@
 // google-benchmark microbenchmarks of the components bench/perf_hotpath
-// does not cover: simulator evaluation throughput, LHS generation, RF
-// training, single-point GP and RFF prediction, and L-BFGS-B.  GP fit,
-// batch prediction, add/remove, RFF fit and acquisition live in
-// perf_hotpath, which CI gates.
+// does not cover: simulator evaluation throughput, RF training and
+// single-point GP prediction.  GP fit, batch prediction, add/remove, RFF
+// fit and acquisition live in perf_hotpath, which CI gates.
 #include <benchmark/benchmark.h>
 
 #include "gp/gaussian_process.h"
-#include "gp/rff_gp.h"
 #include "ml/random_forest.h"
-#include "opt/lbfgsb.h"
-#include "sampling/latin_hypercube.h"
 #include "sparksim/objective.h"
 
 using namespace robotune;
@@ -34,15 +30,6 @@ void BM_SimulatorEvaluate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimulatorEvaluate);
-
-void BM_LatinHypercube(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sampling::latin_hypercube(n, 44, rng));
-  }
-}
-BENCHMARK(BM_LatinHypercube)->Arg(20)->Arg(100)->Arg(200);
 
 void BM_RandomForestFit(benchmark::State& state) {
   const auto rows = static_cast<std::size_t>(state.range(0));
@@ -85,48 +72,6 @@ void BM_GpPredictWithGradient(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GpPredictWithGradient);
-
-void BM_RffPredict(benchmark::State& state) {
-  Rng rng(5);
-  std::vector<std::vector<double>> x;
-  std::vector<double> y;
-  for (int i = 0; i < 500; ++i) {
-    std::vector<double> p(8);
-    for (auto& v : p) v = rng.uniform();
-    x.push_back(p);
-    y.push_back(p[0]);
-  }
-  gp::MaternHyperparams hypers;
-  hypers.length_scales.assign(8, 0.5);
-  gp::RffGp model(gp::RffOptions{256, 0x5eed});
-  model.fit(x, y, hypers);
-  std::vector<double> q(8, 0.4);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.predict(q).mean);
-  }
-}
-BENCHMARK(BM_RffPredict);
-
-void BM_LbfgsbRosenbrock(benchmark::State& state) {
-  const opt::Objective rosen = [](std::span<const double> x,
-                                  std::span<double> grad) {
-    const double a = 1.0 - x[0];
-    const double b = x[1] - x[0] * x[0];
-    if (!grad.empty()) {
-      grad[0] = -2.0 * a - 400.0 * x[0] * b;
-      grad[1] = 200.0 * b;
-    }
-    return a * a + 100.0 * b * b;
-  };
-  opt::Bounds bounds;
-  bounds.lower = {-2, -2};
-  bounds.upper = {2, 2};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        opt::minimize(rosen, std::vector<double>{-1.2, 1.0}, bounds));
-  }
-}
-BENCHMARK(BM_LbfgsbRosenbrock);
 
 }  // namespace
 

@@ -38,10 +38,6 @@ class Rng {
   using result_type = std::uint64_t;
 
   explicit Rng(std::uint64_t seed = 0x853c49e6748fea9bULL) noexcept {
-    reseed(seed);
-  }
-
-  void reseed(std::uint64_t seed) noexcept {
     SplitMix64 sm(seed);
     for (auto& s : state_) s = sm.next();
     // Guard against the (astronomically unlikely) all-zero state.

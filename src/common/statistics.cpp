@@ -81,22 +81,6 @@ double recall(std::span<const std::size_t> truth,
   return static_cast<double>(hit) / static_cast<double>(truth.size());
 }
 
-double pearson(std::span<const double> xs, std::span<const double> ys) {
-  if (xs.size() != ys.size() || xs.size() < 2) return 0.0;
-  const double mx = mean(xs);
-  const double my = mean(ys);
-  double sxy = 0.0, sxx = 0.0, syy = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const double dx = xs[i] - mx;
-    const double dy = ys[i] - my;
-    sxy += dx * dy;
-    sxx += dx * dx;
-    syy += dy * dy;
-  }
-  if (sxx == 0.0 || syy == 0.0) return 0.0;
-  return sxy / std::sqrt(sxx * syy);
-}
-
 double normal_pdf(double z) {
   static constexpr double kInvSqrt2Pi = 0.3989422804014326779399461;
   return kInvSqrt2Pi * std::exp(-0.5 * z * z);

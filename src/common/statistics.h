@@ -38,9 +38,6 @@ double r2_score(std::span<const double> y_true, std::span<const double> y_pred);
 double recall(std::span<const std::size_t> truth,
               std::span<const std::size_t> predicted);
 
-/// Pearson correlation coefficient.  Returns 0 when either side is constant.
-double pearson(std::span<const double> xs, std::span<const double> ys);
-
 /// Standard normal probability density function.
 double normal_pdf(double z);
 

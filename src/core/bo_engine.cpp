@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <memory>
 #include <utility>
 
@@ -106,7 +105,7 @@ BoEngine::BoEngine(std::vector<std::size_t> selected,
     : selected_(std::move(selected)),
       base_unit_(std::move(base_unit)),
       options_(options),
-      guard_(options_.static_threshold_s, options_.median_multiple) {
+      guard_(tuners::kStaticThresholdS, options_.median_multiple) {
   require(!selected_.empty(), "BoEngine: no selected parameters");
   require(!base_unit_.empty(), "BoEngine: empty base configuration");
   for (std::size_t idx : selected_) {
@@ -145,7 +144,7 @@ void BoEngine::start(const std::vector<MemoizedConfig>& memoized,
   const std::size_t dims = selected_.size();
   obs::set_gauge("bo.selected_dims", static_cast<double>(dims));
   rng_ = Rng(options_.seed);
-  guard_ = tuners::GuardPolicy(options_.static_threshold_s,
+  guard_ = tuners::GuardPolicy(tuners::kStaticThresholdS,
                                options_.median_multiple);
   observer_ = std::move(observer);
   result_ = BoResult{};
@@ -182,15 +181,12 @@ void BoEngine::start(const std::vector<MemoizedConfig>& memoized,
   result_.hedge_gains.assign(gains.begin(), gains.end());
   model_fitted_ = false;
   next_doubling_n_ = 0;
-  since_improvement_ = 0;
   iter_ = 0;
   round_open_ = false;
 }
 
 bool BoEngine::finished() const noexcept {
-  return !in_init() &&
-         (result_.early_stopped ||
-          iter_ >= options_.budget - options_.initial_samples);
+  return !in_init() && iter_ >= options_.budget - options_.initial_samples;
 }
 
 double BoEngine::model_value(double seconds) const {
@@ -273,9 +269,6 @@ void BoEngine::learn_initial(const tuners::Evaluation* evals) {
       ys_.push_back(y);
     }
   }
-  best_seen_ = result_.tuning.found_any()
-                   ? result_.tuning.best_value_s()
-                   : std::numeric_limits<double>::infinity();
 }
 
 // One BO round (Algorithm 1, lines 8-10): fit, then q proposals.
@@ -347,7 +340,7 @@ void BoEngine::propose_batch() {
                       (0x9e37ULL + static_cast<std::uint64_t>(iter + j)));
           choice.chosen = *options_.force_acquisition;
           choice.point = gp::optimize_acquisition(
-              *model_, choice.chosen, dims, acq_rng, options_.hedge.params,
+              *model_, choice.chosen, dims, acq_rng, {},
               options_.hedge.optimizer);
           choice.nominees = {choice.point, choice.point, choice.point};
         } else {
@@ -472,25 +465,7 @@ void BoEngine::learn_batch(const tuners::Evaluation* evals) {
     }
   }
 
-  // Optional early stopping (§4), checked per evaluation in canonical
-  // order.
-  for (int j = 0; j < q; ++j) {
-    result_.iterations_run = iter + j + 1;
-    const auto& e = evals[j];
-    if (e.ok() &&
-        e.value_s < best_seen_ * (1.0 - options_.early_stop_epsilon)) {
-      best_seen_ = e.value_s;
-      since_improvement_ = 0;
-    } else {
-      ++since_improvement_;
-      if (options_.early_stop_patience > 0 &&
-          since_improvement_ >= options_.early_stop_patience) {
-        result_.early_stopped = true;
-        obs::count("bo.early_stops");
-        return;
-      }
-    }
-  }
+  result_.iterations_run = iter + q;
 }
 
 // ---- surrogate fits ------------------------------------------------------

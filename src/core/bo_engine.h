@@ -9,11 +9,10 @@
 //   propose()         the next round: the initial design in batch-sized
 //                     chunks, then BO rounds (fit the GP, let the GP-Hedge
 //                     portfolio propose q points via constant-liar
-//                     fantasies); nothing once the budget is spent or
-//                     early stopping fired
+//                     fantasies); nothing once the budget is spent
 //   tell(evals)       the round's evaluations in point order: guard,
-//                     history and incumbent bookkeeping, then the model,
-//                     Hedge gains and early-stop counters
+//                     history and incumbent bookkeeping, then the model
+//                     and Hedge gains
 //
 // run_round() drives one round over those steps: propose, replay the
 // round's journaled prefix, evaluate the rest as one EvalScheduler batch
@@ -70,9 +69,9 @@ struct BoOptions {
   /// How many memoized configurations to blend into the initial set
   /// (paper: 4 best recent + 16 LHS).
   int memoized_in_initial = 4;
-  /// Guard thresholds (§4): static for initial samples, a multiple of the
-  /// running median during the search.
-  double static_threshold_s = 480.0;
+  /// Guard thresholds (§4): static (tuners::kStaticThresholdS) for
+  /// initial samples, this multiple of the running median during the
+  /// search.
   double median_multiple = 2.5;
   /// Kernel hyperparameters are refit by marginal likelihood every this
   /// many iterations (1 = every iteration) under the fixed schedule.
@@ -90,11 +89,6 @@ struct BoOptions {
   int sparse_threshold = 256;
   /// Random-feature count m for the RFF tier (fit O(n·m²)).
   int rff_features = 256;
-  /// Optional automated early stopping (§4): stop when the best value has
-  /// not improved by `early_stop_epsilon` (relative) for
-  /// `early_stop_patience` iterations.  0 disables.
-  int early_stop_patience = 0;
-  double early_stop_epsilon = 0.01;
   /// Model log(time) in the GP: execution times are positive with a
   /// heavy right tail (guard-killed and failed configurations), which a
   /// stationary Matérn kernel fits poorly in linear space.
@@ -154,7 +148,6 @@ struct BoResult {
   tuners::TuningResult tuning;       ///< all evaluations (init + search)
   std::vector<gp::AcquisitionKind> chosen_acquisitions;
   std::vector<double> hedge_gains;   ///< final gains (PI, EI, LCB)
-  bool early_stopped = false;
   /// True when the pacing hook cancelled the session before its budget;
   /// the journal (if any) holds a resumable checkpoint.
   bool interrupted = false;
@@ -165,7 +158,7 @@ struct BoResult {
 enum class Step {
   kRound,  ///< more rounds to run
   kAwait,  ///< published to the ask/tell bridge: step once it resolves
-  kDone,   ///< the run is over: budget spent, early stop, or cancelled
+  kDone,   ///< the run is over: budget spent or cancelled
 };
 
 /// One round handed out by BoEngine::propose().
@@ -192,8 +185,8 @@ class BoEngine {
              BoObserver observer = nullptr);
 
   /// The next round (at most options.batch_size points), or nothing once
-  /// the budget is spent or early stopping fired.  Requires start(), and
-  /// a tell() for the previous round.
+  /// the budget is spent.  Requires start(), and a tell() for the
+  /// previous round.
   std::optional<BoRound> propose();
 
   /// Takes the proposed round's evaluations in point order, as
@@ -278,8 +271,6 @@ class BoEngine {
   std::optional<gp::GpHedge> hedge_;
   bool model_fitted_ = false;
   std::size_t next_doubling_n_ = 0;  ///< size of the next doubling refit
-  double best_seen_ = 0.0;
-  int since_improvement_ = 0;
   int iter_ = 0;  ///< BO iterations (post-init evaluations) told
   std::vector<DegradeEvent> degrade_events_;
   BoResult result_;

@@ -48,15 +48,12 @@ SelectionReport select_parameters_from_samples(
 
   ml::Dataset data(space.size());
   for (std::size_t i = 0; i < units.size(); ++i) {
-    const double y =
-        options.log_target ? std::log(std::max(1e-6, values[i])) : values[i];
-    data.add_row(units[i], y);
+    data.add_row(units[i], std::log(std::max(1e-6, values[i])));
   }
 
   ml::ForestOptions forest_options;
   forest_options.num_trees = options.forest_trees;
-  forest_options.tree.max_features =
-      options.forest_mtry == 0 ? space.size() : options.forest_mtry;
+  forest_options.tree.max_features = space.size();
   ml::RandomForest forest(forest_options, options.seed);
   forest.fit(data);
 
@@ -68,8 +65,8 @@ SelectionReport select_parameters_from_samples(
 
   SelectionReport report;
   report.oob_r2 = forest.oob_r2();
-  auto picked =
-      ml::select_important(importances, options.importance_threshold);
+  constexpr double kImportanceThreshold = 0.05;  // paper §3.3
+  auto picked = ml::select_important(importances, kImportanceThreshold);
   // Robustness floor: importances are sorted descending, so extending with
   // the next ranked groups keeps the best-supported candidates.
   for (std::size_t gi = 0;

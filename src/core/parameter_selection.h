@@ -5,7 +5,7 @@
 // For an unseen workload, `generic_samples` LHS configurations (paper:
 // 100) are evaluated, an RF regressor is fit on (unit configuration →
 // observed time), and every joint parameter group whose permutation drops
-// the OOB R² by at least `importance_threshold` (paper: 0.05) is selected.
+// the OOB R² by at least 0.05 (the paper's threshold) is selected.
 #pragma once
 
 #include <cstddef>
@@ -20,22 +20,18 @@
 
 namespace robotune::core {
 
+/// The forest is fit on log(time) over splits that examine all 44
+/// features: execution times are positive and right-skewed
+/// (timeout/failure tail), the multiplicative effects of most Spark
+/// parameters are additive in log space, and with ~100 samples in 44
+/// dimensions the classic p/3 split subsampling hides the weak signal.
 struct SelectionOptions {
   std::size_t generic_samples = 100;
-  double importance_threshold = 0.05;
   int permutation_repeats = 10;
   std::size_t forest_trees = 400;
-  /// Features examined per split; 0 = all 44 (plain bagging).  With ~100
-  /// samples in 44 dimensions the classic p/3 subsampling hides the weak
-  /// signal; full-width splits are markedly more accurate here.
-  std::size_t forest_mtry = 0;
-  /// Model log(time) rather than time: execution times are positive and
-  /// right-skewed (timeout/failure tail), and the multiplicative effects
-  /// of most Spark parameters are additive in log space.
-  bool log_target = true;
   /// Static guard for the sample-collection executions (§4: a static
   /// threshold protects the initial samples).
-  double static_threshold_s = 480.0;
+  double static_threshold_s = tuners::kStaticThresholdS;
   /// Robustness floor: always keep at least this many top-ranked groups
   /// even when fewer clear the importance threshold.  At 100 samples the
   /// MDA estimates of mid-tier groups are noisy enough that an unlucky

@@ -8,11 +8,14 @@
 
 namespace robotune::core {
 
-RoboTune::RoboTune(RoboTuneOptions options) : options_(std::move(options)) {
-  if (options_.joint_groups.empty()) {
-    options_.joint_groups = sparksim::spark24_joint_parameter_groups();
-  }
-}
+namespace {
+
+/// Best configurations a session stores into the memoization buffer, and
+/// the most a later session of the workload blends into its initial
+/// design (paper §3.2: the 4 best recent configurations).
+constexpr std::size_t kMemoizeTopK = 4;
+
+}  // namespace
 
 tuners::TuningResult RoboTune::tune(sparksim::SparkObjective& objective,
                                     int budget, std::uint64_t seed) {
@@ -71,8 +74,8 @@ void RoboTune::begin_report(sparksim::SparkObjective& objective, int budget,
     span.arg("workload", workload_key);
     SelectionOptions sel = options_.selection;
     sel.seed ^= seed;
-    report.selection_report =
-        select_parameters(objective, options_.joint_groups, sel);
+    report.selection_report = select_parameters(
+        objective, sparksim::spark24_joint_parameter_groups(), sel);
     report.selected = report.selection_report.selected;
     report.selection_cost_s = report.selection_report.sampling_cost_s;
     // Defensive fallback: if noise buried every parameter below the
@@ -94,7 +97,7 @@ void RoboTune::begin_report(sparksim::SparkObjective& objective, int budget,
   // ---- Memoized configurations ------------------------------------------
   const auto memoized =
       resuming ? session->state.memoized
-               : memo_buffer_.best(workload_key, options_.memoize_top_k);
+               : memo_buffer_.best(workload_key, kMemoizeTopK);
   report.used_memoized_configs = !memoized.empty();
 
   // Snapshot the fixed session metadata before the first evaluation, so
@@ -138,7 +141,7 @@ RoboTuneReport RoboTune::end_report() {
             [](const tuners::Evaluation* a, const tuners::Evaluation* b) {
               return a->value_s < b->value_s;
             });
-  const std::size_t keep = std::min(options_.memoize_top_k, ok_evals.size());
+  const std::size_t keep = std::min(kMemoizeTopK, ok_evals.size());
   for (std::size_t i = 0; i < keep; ++i) {
     memo_buffer_.store(workload_key_,
                        {ok_evals[i]->unit, ok_evals[i]->value_s});

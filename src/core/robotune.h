@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/bo_engine.h"
@@ -26,15 +27,11 @@
 
 namespace robotune::core {
 
+/// Selection groups the parameters by the Spark 2.4 joint groups
+/// (sparksim::spark24_joint_parameter_groups).
 struct RoboTuneOptions {
   BoOptions bo;
   SelectionOptions selection;
-  /// Joint-parameter definitions used during selection; defaults to the
-  /// Spark 2.4 groups when empty.
-  std::vector<std::vector<std::string>> joint_groups;
-  /// Number of best configs pushed into the memoization buffer after a
-  /// session.
-  std::size_t memoize_top_k = 4;
 };
 
 struct RoboTuneReport {
@@ -50,7 +47,8 @@ struct RoboTuneReport {
 
 class RoboTune : public tuners::Tuner {
  public:
-  explicit RoboTune(RoboTuneOptions options = {});
+  explicit RoboTune(RoboTuneOptions options = {})
+      : options_(std::move(options)) {}
 
   std::string name() const override { return "ROBOTune"; }
 

@@ -143,23 +143,25 @@ std::vector<sparksim::EvalOutcome> EvalScheduler::run_batch(
           // Projected dominance: with fraction f of stages done in t
           // simulated seconds, the projected total t/f already dominates
           // the frozen guard threshold once t > threshold * f * slack.
-          // min_progress keeps the projection from firing on the noisy
-          // first stages.
-          if (p.fraction >= racing.min_progress &&
-              p.sim_elapsed_s >
-                  threshold * p.fraction * racing.dominance_slack) {
+          // The progress floor keeps the projection from firing on the
+          // noisy first stages.
+          constexpr double kMinProgress = 0.2;
+          constexpr double kDominanceSlack = 1.25;
+          if (p.fraction >= kMinProgress &&
+              p.sim_elapsed_s > threshold * p.fraction * kDominanceSlack) {
             token->request(sparksim::KillReason::kMedianRule);
           }
         } else if (racing.mode == RacingMode::kHalving) {
           // Successive halving: at each rung (25/50/75% of stages) the
           // run must have spent no more than its pro-rated share of the
           // threshold, with a small margin.
+          constexpr double kRungMargin = 1.1;
           double rung = 0.0;
           for (const double r : {0.25, 0.5, 0.75}) {
             if (p.fraction >= r) rung = r;
           }
           if (rung > 0.0 &&
-              p.sim_elapsed_s > threshold * rung * racing.rung_margin) {
+              p.sim_elapsed_s > threshold * rung * kRungMargin) {
             token->request(sparksim::KillReason::kHalvingRung);
           }
         }

@@ -59,16 +59,6 @@ struct RacingOptions {
   /// Per-evaluation simulated-time deadline, checked at stage
   /// boundaries, applied to each attempt.  <= 0 disables the deadline.
   double deadline_s = 0.0;
-  /// Median rule: never kill before this fraction of stages completed
-  /// (early progress is too noisy to project from).
-  double min_progress = 0.2;
-  /// Median rule: kill when sim_elapsed > threshold x fraction x slack —
-  /// i.e. the run's projected total time dominates the frozen guard
-  /// threshold by this factor.
-  double dominance_slack = 1.25;
-  /// Halving: kill at rung r (of 25/50/75% progress) when
-  /// sim_elapsed > threshold x r x rung_margin.
-  double rung_margin = 1.1;
 
   bool active() const noexcept {
     return mode != RacingMode::kOff || deadline_s > 0.0;

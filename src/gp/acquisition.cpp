@@ -188,8 +188,12 @@ std::vector<double> optimize_acquisition(
   ThreadPool* pool = options.pool;
   if (pool == nullptr && options.workers != 1) pool = &ThreadPool::global();
 
+  opt::LbfgsbOptions descent;
+  descent.max_iterations = 60;
+  descent.gradient_tolerance = 1e-7;
+  descent.value_tolerance = 1e-12;
   const opt::LbfgsbResult descended =
-      opt::minimize_starts(factory, starts, bounds, options.lbfgsb, pool);
+      opt::minimize_starts(factory, starts, bounds, descent, pool);
 
   // Even a failed descent should not be worse than the best raw probe.
   if (probe_values[order[0]] < descended.value) return probes[order[0]];
@@ -203,12 +207,12 @@ GpHedge::GpHedge(std::size_t dims, std::uint64_t seed, Options options)
     : dims_(dims), options_(options), rng_(seed), gains_(3, 0.0) {}
 
 std::vector<double> GpHedge::probabilities() const {
-  const double eta = options_.eta;
+  constexpr double kEta = 1.0;  // Hedge learning rate
   const double max_gain = *std::max_element(gains_.begin(), gains_.end());
   std::vector<double> p(gains_.size());
   double sum = 0.0;
   for (std::size_t i = 0; i < gains_.size(); ++i) {
-    p[i] = std::exp(eta * (gains_[i] - max_gain));
+    p[i] = std::exp(kEta * (gains_[i] - max_gain));
     sum += p[i];
   }
   for (double& v : p) v /= sum;
@@ -222,7 +226,7 @@ GpHedge::Choice GpHedge::propose(const Surrogate& gp) {
   choice.nominees.reserve(3);
   for (AcquisitionKind kind : kKinds) {
     choice.nominees.push_back(optimize_acquisition(
-        gp, kind, dims_, rng_, options_.params, options_.optimizer));
+        gp, kind, dims_, rng_, {}, options_.optimizer));
   }
   const std::vector<double> p = probabilities();
   const double u = rng_.uniform();

@@ -47,14 +47,8 @@ double acquisition_value_gradient(AcquisitionKind kind,
                                   std::span<double> grad);
 
 struct AcquisitionOptimizerOptions {
-  AcquisitionOptimizerOptions() {
-    lbfgsb.max_iterations = 60;
-    lbfgsb.gradient_tolerance = 1e-7;
-    lbfgsb.value_tolerance = 1e-12;
-  }
   int starts = 8;
   int probe_candidates = 256;
-  opt::LbfgsbOptions lbfgsb;
   /// Multi-start execution: 0 runs the starts on the process-wide
   /// ThreadPool::global(); 1 forces the inline sequential path.  An
   /// explicit `pool` overrides both.  The returned point is byte-identical
@@ -76,15 +70,13 @@ std::vector<double> optimize_acquisition(
     const AcquisitionOptimizerOptions& options = {});
 
 /// GP-Hedge portfolio over {PI, EI, LCB}.  Each round every function
-/// nominates a candidate; one nominee is chosen with probability
-/// p_j ∝ exp(η g_j); after the GP is refit the gains are updated with the
-/// (negated, since we minimize) posterior mean at each nominee:
-/// g_j ← g_j − μ(x_j).
+/// nominates a candidate (default AcquisitionParams); one nominee is
+/// chosen with probability p_j ∝ exp(η g_j), η = 1; after the GP is
+/// refit the gains are updated with the (negated, since we minimize)
+/// posterior mean at each nominee: g_j ← g_j − μ(x_j).
 class GpHedge {
  public:
   struct Options {
-    double eta = 1.0;  ///< Hedge learning rate
-    AcquisitionParams params;
     AcquisitionOptimizerOptions optimizer;
   };
 

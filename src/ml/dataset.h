@@ -58,15 +58,6 @@ class Regressor {
   virtual ~Regressor() = default;
   virtual void fit(const Dataset& data) = 0;
   virtual double predict(std::span<const double> x) const = 0;
-
-  std::vector<double> predict_all(const Dataset& data) const {
-    std::vector<double> out;
-    out.reserve(data.num_rows());
-    for (std::size_t i = 0; i < data.num_rows(); ++i) {
-      out.push_back(predict(data.row(i)));
-    }
-    return out;
-  }
 };
 
 }  // namespace robotune::ml

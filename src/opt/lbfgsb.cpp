@@ -17,27 +17,6 @@ void Bounds::clip(std::span<double> x) const {
   }
 }
 
-Objective numeric_gradient(std::function<double(std::span<const double>)> f,
-                           double step) {
-  return [f = std::move(f), step](std::span<const double> x,
-                                  std::span<double> grad) -> double {
-    const double value = f(x);
-    if (!grad.empty()) {
-      std::vector<double> xp(x.begin(), x.end());
-      for (std::size_t i = 0; i < x.size(); ++i) {
-        const double saved = xp[i];
-        xp[i] = saved + step;
-        const double fp = f(xp);
-        xp[i] = saved - step;
-        const double fm = f(xp);
-        xp[i] = saved;
-        grad[i] = (fp - fm) / (2.0 * step);
-      }
-    }
-    return value;
-  };
-}
-
 namespace {
 
 struct Pair {
@@ -157,6 +136,7 @@ LbfgsbResult minimize(const Objective& objective, std::span<const double> x0,
 
     // Backtracking Armijo line search along the projected path.
     constexpr double kArmijo = 1e-4;
+    constexpr int kMaxLineSearchSteps = 25;
     double t = 1.0;
     double f_new = result.value;
     bool accepted = false;
@@ -170,7 +150,7 @@ LbfgsbResult minimize(const Objective& objective, std::span<const double> x0,
       ++result.evaluations;
       return f;
     };
-    for (int ls = 0; ls < options.max_line_search_steps; ++ls) {
+    for (int ls = 0; ls < kMaxLineSearchSteps; ++ls) {
       f_new = try_step(t, x_new, grad_new);
       // Armijo on the actual (projected) displacement.
       double actual_decrease_bound = 0.0;
@@ -215,8 +195,9 @@ LbfgsbResult minimize(const Objective& objective, std::span<const double> x0,
     const double sy = linalg::dot(p.s, p.y);
     if (sy > 1e-10 * linalg::norm2(p.s) * linalg::norm2(p.y)) {
       p.rho = 1.0 / sy;
+      constexpr std::size_t kHistory = 8;  // limited-memory pairs kept
       history.push_back(std::move(p));
-      if (history.size() > static_cast<std::size_t>(options.history)) {
+      if (history.size() > kHistory) {
         history.pop_front();
       }
     }

@@ -8,9 +8,7 @@
 // direction for that step.  This is the standard projected quasi-Newton
 // scheme and converges to box-constrained stationary points.
 //
-// The caller supplies the objective value and gradient; for acquisition
-// functions without analytic gradients, `numeric_gradient` provides a
-// central-difference fallback.
+// The caller supplies the objective value and gradient.
 #pragma once
 
 #include <cstddef>
@@ -44,16 +42,10 @@ struct Bounds {
 using Objective =
     std::function<double(std::span<const double> x, std::span<double> grad)>;
 
-/// Wraps a value-only function with central differences.
-Objective numeric_gradient(std::function<double(std::span<const double>)> f,
-                           double step = 1e-6);
-
 struct LbfgsbOptions {
   int max_iterations = 100;
-  int history = 8;           ///< limited-memory pairs kept
   double gradient_tolerance = 1e-6;
   double value_tolerance = 1e-10;
-  int max_line_search_steps = 25;
 };
 
 struct LbfgsbResult {

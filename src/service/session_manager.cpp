@@ -65,7 +65,6 @@ SessionManager::SessionManager(ServiceOptions options)
     EventJournal::Options ev;
     ev.path = options_.events_path;
     ev.max_bytes = options_.events_max_bytes;
-    ev.keep = options_.events_keep;
     ev.fsync = options_.sync == core::SyncPolicy::kFsync;
     std::string error;
     // An unopenable event journal degrades observability, never

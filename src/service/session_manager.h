@@ -86,9 +86,9 @@ struct ServiceOptions {
   /// journal.  A durability/ops artifact like the session journals,
   /// not instrumentation.
   std::string events_path;
-  /// Event journal rotation: size threshold and rotated files kept.
+  /// Event journal rotation threshold; rotated files are kept as
+  /// EventJournal::Options::keep says.
   std::size_t events_max_bytes = 256 * 1024;
-  std::size_t events_keep = 3;
   /// Ask/tell lease lifetime in virtual-clock ticks: a leased suggestion
   /// not observed within this many tick() calls is reclaimed back to the
   /// pending pool.  The daemon drives tick() once per second, so the

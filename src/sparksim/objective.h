@@ -125,7 +125,6 @@ class SparkObjective {
   }
 
   void set_retry_policy(const RetryPolicy& policy) { retry_policy_ = policy; }
-  const RetryPolicy& retry_policy() const noexcept { return retry_policy_; }
 
   const ConfigSpace& space() const noexcept { return space_; }
   const WorkloadSpec& workload() const noexcept { return workload_; }

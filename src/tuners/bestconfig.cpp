@@ -42,14 +42,15 @@ TuningResult BestConfig::tune(sparksim::SparkObjective& objective, int budget,
   session_span.arg("seed", seed);
 
   // BestConfig's runtime threshold: static cap initially, then a multiple
-  // of the incumbent best once one exists.
+  // of the incumbent best once one exists (paper §5.3 notes BestConfig
+  // modifies its threshold during runtime).
+  constexpr double kBestMultiple = 4.0;
   double incumbent = std::numeric_limits<double>::infinity();
   auto current_threshold = [&]() {
     if (std::isfinite(incumbent)) {
-      return std::min(options_.static_threshold_s,
-                      incumbent * options_.best_multiple_threshold);
+      return std::min(kStaticThresholdS, incumbent * kBestMultiple);
     }
-    return options_.static_threshold_s;
+    return kStaticThresholdS;
   };
 
   std::vector<double> lo(dims, 0.0), hi(dims, 1.0);

@@ -23,10 +23,6 @@ namespace robotune::tuners {
 
 struct BestConfigOptions {
   int sample_set_size = 100;
-  /// Runtime threshold: multiple of the incumbent best (paper §5.3 notes
-  /// BestConfig modifies its threshold during runtime).
-  double best_multiple_threshold = 4.0;
-  double static_threshold_s = 480.0;
 };
 
 class BestConfig : public Tuner {

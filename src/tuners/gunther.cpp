@@ -10,6 +10,17 @@ namespace robotune::tuners {
 
 namespace {
 
+/// Survivors per generation (aggressive truncation selection).
+constexpr int kElite = 4;
+/// Offspring per generation.
+constexpr int kGenerationSize = 10;
+/// Per-gene mutation probability (aggressive mutation).
+constexpr double kMutationRate = 0.20;
+/// A mutation resets the gene at random with this probability (the
+/// aggressive variant), otherwise perturbs it by N(0, kGaussianSigma).
+constexpr double kResetProbability = 0.5;
+constexpr double kGaussianSigma = 0.12;
+
 struct Individual {
   std::vector<double> genes;
   double fitness = std::numeric_limits<double>::infinity();  // lower = better
@@ -27,7 +38,7 @@ TuningResult Gunther::tune(sparksim::SparkObjective& objective, int budget,
   session_span.arg("tuner", name());
   session_span.arg("budget", budget);
   session_span.arg("seed", seed);
-  GuardPolicy guard(options_.static_threshold_s, /*median_multiple=*/0.0);
+  GuardPolicy guard(kStaticThresholdS, /*median_multiple=*/0.0);
 
   // Evaluates a whole group of individuals — the initial population or
   // one generation's offspring — as one round (genes were all drawn
@@ -50,10 +61,10 @@ TuningResult Gunther::tune(sparksim::SparkObjective& objective, int budget,
 
   // --- Initial population (random, sized by parameter count) -------------
   int init_size = static_cast<int>(
-      std::lround(options_.initial_per_param * static_cast<double>(dims)));
+      std::lround(kInitialPerParam * static_cast<double>(dims)));
   init_size = std::min(
       init_size,
-      static_cast<int>(budget * options_.max_initial_budget_fraction));
+      static_cast<int>(budget * kMaxInitialBudgetFraction));
   init_size = std::max(init_size, std::min(budget, 4));
 
   int remaining = budget;
@@ -82,12 +93,12 @@ TuningResult Gunther::tune(sparksim::SparkObjective& objective, int budget,
               [](const Individual& a, const Individual& b) {
                 return a.fitness < b.fitness;
               });
-    const int elite = std::min<int>(options_.elite,
-                                    static_cast<int>(population.size()));
+    const int elite =
+        std::min<int>(kElite, static_cast<int>(population.size()));
     population.resize(static_cast<std::size_t>(std::max(elite, 2)));
 
     std::vector<Individual> offspring;
-    const int gen = std::min(options_.generation_size, remaining);
+    const int gen = std::min(kGenerationSize, remaining);
     gen_span.arg("offspring", gen);
     offspring.reserve(static_cast<std::size_t>(gen));
     for (int c = 0; c < gen; ++c) {
@@ -99,12 +110,12 @@ TuningResult Gunther::tune(sparksim::SparkObjective& objective, int budget,
       child.genes.resize(dims);
       for (std::size_t d = 0; d < dims; ++d) {
         child.genes[d] = rng.bernoulli(0.5) ? a.genes[d] : b.genes[d];
-        if (rng.bernoulli(options_.mutation_rate)) {
-          if (rng.bernoulli(options_.reset_probability)) {
+        if (rng.bernoulli(kMutationRate)) {
+          if (rng.bernoulli(kResetProbability)) {
             child.genes[d] = rng.uniform();  // aggressive reset
           } else {
             child.genes[d] = std::clamp(
-                child.genes[d] + rng.normal(0.0, options_.gaussian_sigma),
+                child.genes[d] + rng.normal(0.0, kGaussianSigma),
                 0.0, 1.0 - 1e-12);
           }
         }

@@ -13,36 +13,18 @@
 
 namespace robotune::tuners {
 
-struct GuntherOptions {
-  /// Initial population = initial_per_param × dims (clamped to budget·frac).
-  double initial_per_param = 2.0;
-  /// Fraction of the budget the initial population may consume at most.
-  /// Deliberately high: Gunther's initialization really does consume most
-  /// of a 100-evaluation budget at 44 parameters (paper §6).
-  double max_initial_budget_fraction = 0.85;
-  /// Survivors per generation (aggressive truncation selection).
-  int elite = 4;
-  /// Offspring per generation.
-  int generation_size = 10;
-  /// Per-gene mutation probability (aggressive mutation).
-  double mutation_rate = 0.20;
-  /// Mutation is a full random reset of the gene (aggressive), otherwise
-  /// a Gaussian perturbation.
-  double reset_probability = 0.5;
-  double gaussian_sigma = 0.12;
-  double static_threshold_s = 480.0;
-};
-
 class Gunther : public Tuner {
  public:
-  explicit Gunther(GuntherOptions options = {}) : options_(options) {}
+  /// Initial population = kInitialPerParam × dims, clamped to
+  /// kMaxInitialBudgetFraction of the budget.  The fraction is
+  /// deliberately high: Gunther's initialization really does consume most
+  /// of a 100-evaluation budget at 44 parameters (paper §6).
+  static constexpr double kInitialPerParam = 2.0;
+  static constexpr double kMaxInitialBudgetFraction = 0.85;
 
   std::string name() const override { return "Gunther"; }
   TuningResult tune(sparksim::SparkObjective& objective, int budget,
                     std::uint64_t seed) override;
-
- private:
-  GuntherOptions options_;
 };
 
 }  // namespace robotune::tuners

@@ -19,7 +19,7 @@ TuningResult RandomSearch::tune(sparksim::SparkObjective& objective,
   // Transient-fault handling rides entirely on GuardPolicy: censored
   // flake values never enter the guard median, and RS keeps no model
   // state that a flake could poison.
-  GuardPolicy guard(static_threshold_s_, /*median_multiple=*/0.0);
+  GuardPolicy guard(kStaticThresholdS, /*median_multiple=*/0.0);
   // Fixed rounds of kRoundSize, so a cancel lands between them.  With a
   // static threshold, RNG-ordered units and fixed eval indices, the
   // chunking cannot change a result; it only trades cancel latency

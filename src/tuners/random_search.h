@@ -9,15 +9,9 @@ namespace robotune::tuners {
 
 class RandomSearch : public Tuner {
  public:
-  explicit RandomSearch(double static_threshold_s = 480.0)
-      : static_threshold_s_(static_threshold_s) {}
-
   std::string name() const override { return "RS"; }
   TuningResult tune(sparksim::SparkObjective& objective, int budget,
                     std::uint64_t seed) override;
-
- private:
-  double static_threshold_s_;
 };
 
 }  // namespace robotune::tuners

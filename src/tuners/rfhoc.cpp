@@ -11,6 +11,12 @@ namespace robotune::tuners {
 
 namespace {
 
+/// The model-side GA: population, survivors per generation and per-gene
+/// mutation probability.
+constexpr int kGaPopulation = 120;
+constexpr int kGaElite = 12;
+constexpr double kMutationRate = 0.10;
+
 struct ModelIndividual {
   std::vector<double> genes;
   double predicted = 0.0;
@@ -28,7 +34,7 @@ TuningResult Rfhoc::tune(sparksim::SparkObjective& objective, int budget,
   session_span.arg("tuner", name());
   session_span.arg("budget", budget);
   session_span.arg("seed", seed);
-  GuardPolicy guard(options_.static_threshold_s, /*median_multiple=*/0.0);
+  GuardPolicy guard(kStaticThresholdS, /*median_multiple=*/0.0);
 
   // ---- Phase 1: collect training executions ------------------------------
   int train_count = static_cast<int>(
@@ -59,7 +65,7 @@ TuningResult Rfhoc::tune(sparksim::SparkObjective& objective, int budget,
   forest_options.num_trees = options_.forest_trees;
   forest_options.tree.max_features = dims;
   std::vector<ModelIndividual> population(
-      static_cast<std::size_t>(options_.ga_population));
+      static_cast<std::size_t>(kGaPopulation));
   for (auto& ind : population) {
     ind.genes.resize(dims);
     for (auto& g : ind.genes) g = rng.uniform();
@@ -68,7 +74,7 @@ TuningResult Rfhoc::tune(sparksim::SparkObjective& objective, int budget,
   // predicted first.
   const auto search_model = [&] {
     obs::Span span("surrogate_ga", "tuners");
-    span.arg("population", options_.ga_population);
+    span.arg("population", kGaPopulation);
     span.arg("generations", options_.ga_generations);
     ml::RandomForest model(forest_options, seed ^ 0xabcdULL);
     model.fit(data);
@@ -79,15 +85,14 @@ TuningResult Rfhoc::tune(sparksim::SparkObjective& objective, int budget,
     for (auto& ind : population) ind.predicted = model.predict(ind.genes);
     for (int gen = 0; gen < options_.ga_generations; ++gen) {
       std::sort(population.begin(), population.end(), by_prediction);
-      const auto elite = static_cast<std::size_t>(
-          std::max(2, options_.ga_elite));
+      const auto elite = static_cast<std::size_t>(kGaElite);
       for (std::size_t i = elite; i < population.size(); ++i) {
         const auto& a = population[rng.uniform_index(elite)];
         const auto& b = population[rng.uniform_index(elite)];
         auto& child = population[i];
         for (std::size_t d = 0; d < dims; ++d) {
           child.genes[d] = rng.bernoulli(0.5) ? a.genes[d] : b.genes[d];
-          if (rng.bernoulli(options_.mutation_rate)) {
+          if (rng.bernoulli(kMutationRate)) {
             child.genes[d] = rng.uniform();
           }
         }

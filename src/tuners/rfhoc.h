@@ -24,12 +24,9 @@ struct RfhocOptions {
   /// remainder evaluates the model-optimized candidates for real.
   double train_fraction = 0.7;
   std::size_t forest_trees = 300;
-  /// Model-side GA (evaluations against the RF are free).
-  int ga_population = 120;
+  /// Generations of the model-side GA (evaluations against the RF are
+  /// free).
   int ga_generations = 40;
-  int ga_elite = 12;
-  double mutation_rate = 0.10;
-  double static_threshold_s = 480.0;
 };
 
 class Rfhoc : public Tuner {

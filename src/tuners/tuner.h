@@ -59,6 +59,10 @@ struct TuningResult {
   std::size_t total_attempts() const;
 };
 
+/// The paper's static guard (§4): a run is stopped at 480 s.  Every
+/// tuner and parameter selection start from it.
+inline constexpr double kStaticThresholdS = 480.0;
+
 /// Tracks the guard threshold: the tighter of a static cap and a multiple
 /// of the running median of successful evaluations.
 class GuardPolicy {

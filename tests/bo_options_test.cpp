@@ -109,7 +109,7 @@ TEST(BoOptionsTest, MedianGuardCapsLateEvaluationCosts) {
   // 1.5 x the median of all prior successes; just assert the cap was
   // computable and nothing exceeded the static cap.
   for (const auto& e : result.tuning.history) {
-    EXPECT_LE(e.cost_s, options.static_threshold_s + 1e-9);
+    EXPECT_LE(e.cost_s, tuners::kStaticThresholdS + 1e-9);
   }
 }
 

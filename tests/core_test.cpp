@@ -290,21 +290,6 @@ TEST(BoEngineTest, MemoizedConfigsSeedTheInitialSet) {
               0.33, 1e-12);
 }
 
-TEST(BoEngineTest, EarlyStoppingCutsTheBudget) {
-  const auto space = sparksim::spark24_config_space();
-  auto objective = make_objective(WorkloadKind::kTeraSort, 1, 11);
-  BoOptions options;
-  options.budget = 60;
-  options.initial_samples = 10;
-  options.early_stop_patience = 3;
-  options.early_stop_epsilon = 0.5;  // essentially unattainable improvement
-  options.hyperfit_every = 10;
-  BoEngine engine(small_selection(space), space.default_unit(), options);
-  const auto result = engine.run(objective);
-  EXPECT_TRUE(result.early_stopped);
-  EXPECT_LT(result.tuning.history.size(), 60u);
-}
-
 TEST(BoEngineTest, ObserverSeesEveryIteration) {
   const auto space = sparksim::spark24_config_space();
   auto objective = make_objective(WorkloadKind::kTeraSort, 1, 12);
@@ -352,7 +337,6 @@ void expect_same_result(const BoResult& a, const BoResult& b) {
   EXPECT_EQ(a.chosen_acquisitions, b.chosen_acquisitions);
   EXPECT_EQ(a.hedge_gains, b.hedge_gains);
   EXPECT_EQ(a.iterations_run, b.iterations_run);
-  EXPECT_EQ(a.early_stopped, b.early_stopped);
 }
 
 BoOptions step_options(int batch) {

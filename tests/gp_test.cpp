@@ -16,6 +16,7 @@
 #include "gp/kernel.h"
 #include "obs/metrics.h"
 #include "opt/lbfgsb.h"
+#include "numeric_gradient.h"
 
 namespace robotune::gp {
 namespace {

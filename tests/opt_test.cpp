@@ -8,6 +8,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "opt/lbfgsb.h"
+#include "numeric_gradient.h"
 
 namespace robotune::opt {
 namespace {

@@ -1,14 +1,8 @@
-// Tests for the session trace exporter and the RFHOC-style tuner.
+// Tests for the RFHOC-style tuner.
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <sstream>
-#include <vector>
-
 #include "sparksim/objective.h"
-#include "tuners/random_search.h"
 #include "tuners/rfhoc.h"
-#include "tuners/session_trace.h"
 
 namespace robotune::tuners {
 namespace {
@@ -18,159 +12,6 @@ sparksim::SparkObjective make_objective(std::uint64_t seed = 42) {
       sparksim::ClusterSpec{},
       sparksim::make_workload(sparksim::WorkloadKind::kTeraSort, 1),
       sparksim::spark24_config_space(), seed);
-}
-
-// ------------------------------------------------------- session trace ----
-
-TEST(SessionTraceTest, CsvHasHeaderAndOneRowPerEvaluation) {
-  auto objective = make_objective(1);
-  RandomSearch rs;
-  const auto result = rs.tune(objective, 12, 3);
-  std::stringstream out;
-  TraceOptions options;
-  options.include_parameters = false;
-  const auto rows = write_csv(result, out, options);
-  EXPECT_EQ(rows, 12u);
-  std::string line;
-  std::getline(out, line);
-  EXPECT_EQ(line,
-            "index,tuner,value_s,cost_s,status,stopped_early,best_so_far");
-  int data_lines = 0;
-  while (std::getline(out, line)) ++data_lines;
-  EXPECT_EQ(data_lines, 12);
-}
-
-TEST(SessionTraceTest, ParameterColumnsUseSpaceNames) {
-  auto objective = make_objective(2);
-  RandomSearch rs;
-  const auto result = rs.tune(objective, 3, 5);
-  std::stringstream out;
-  TraceOptions options;
-  options.space = &objective.space();
-  write_csv(result, out, options);
-  std::string header;
-  std::getline(out, header);
-  EXPECT_NE(header.find("spark.executor.cores"), std::string::npos);
-  EXPECT_NE(header.find("spark.serializer"), std::string::npos);
-  // 7 summary columns + 44 parameters = 51 columns.
-  EXPECT_EQ(std::count(header.begin(), header.end(), ','), 50);
-}
-
-TEST(SessionTraceTest, UnitColumnsWhenNoSpaceGiven) {
-  auto objective = make_objective(3);
-  RandomSearch rs;
-  const auto result = rs.tune(objective, 2, 5);
-  std::stringstream out;
-  write_csv(result, out);
-  std::string header;
-  std::getline(out, header);
-  EXPECT_NE(header.find(",u0"), std::string::npos);
-  EXPECT_NE(header.find(",u43"), std::string::npos);
-}
-
-TEST(SessionTraceTest, BestSoFarIsMonotoneInTheCsv) {
-  auto objective = make_objective(4);
-  RandomSearch rs;
-  const auto result = rs.tune(objective, 20, 7);
-  std::stringstream out;
-  TraceOptions options;
-  options.include_parameters = false;
-  write_csv(result, out, options);
-  std::string line;
-  std::getline(out, line);  // header
-  double prev = 1e18;
-  while (std::getline(out, line)) {
-    const auto pos = line.rfind(',');
-    if (pos == std::string::npos || pos + 1 >= line.size()) continue;
-    const double best = std::stod(line.substr(pos + 1));
-    EXPECT_LE(best, prev + 1e-9);
-    prev = best;
-  }
-}
-
-TEST(SessionTraceTest, FileWrapperWritesAndFails) {
-  auto objective = make_objective(5);
-  RandomSearch rs;
-  const auto result = rs.tune(objective, 2, 9);
-  EXPECT_TRUE(write_csv_file(result, "/tmp/robotune_trace_test.csv"));
-  EXPECT_FALSE(write_csv_file(result, "/nonexistent/dir/trace.csv"));
-  std::remove("/tmp/robotune_trace_test.csv");
-}
-
-TEST(SessionTraceTest, CsvEscapeQuotesOnlyWhenNeeded) {
-  EXPECT_EQ(csv_escape("plain"), "plain");
-  EXPECT_EQ(csv_escape("spark.executor.cores"), "spark.executor.cores");
-  EXPECT_EQ(csv_escape("a,b"), "\"a,b\"");
-  EXPECT_EQ(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-  EXPECT_EQ(csv_escape("two\nlines"), "\"two\nlines\"");
-  EXPECT_EQ(csv_escape(""), "");
-}
-
-TEST(SessionTraceTest, SpecialCharacterFieldsRoundTrip) {
-  // A tuner name packing every character class RFC 4180 cares about:
-  // commas split fields, quotes terminate them, newlines split records.
-  // Unescaped, any one of these corrupts the file.
-  TuningResult result;
-  result.tuner = "evil,\"tuner\"\nname";
-  Evaluation e;
-  e.unit = {0.25, 0.75};
-  e.value_s = 120.0;
-  e.cost_s = 120.0;
-  result.history.push_back(e);
-  e.value_s = 80.0;
-  result.history.push_back(e);
-  result.best_index = 1;
-
-  std::stringstream out;
-  TraceOptions options;
-  options.include_parameters = false;
-  EXPECT_EQ(write_csv(result, out, options), 2u);
-
-  std::vector<std::string> fields;
-  ASSERT_TRUE(read_csv_record(out, fields));  // header
-  ASSERT_EQ(fields.size(), 7u);
-  EXPECT_EQ(fields[1], "tuner");
-  std::size_t rows = 0;
-  while (read_csv_record(out, fields)) {
-    ASSERT_EQ(fields.size(), 7u) << "row " << rows;
-    EXPECT_EQ(fields[1], result.tuner) << "row " << rows;
-    ++rows;
-  }
-  EXPECT_EQ(rows, 2u);
-}
-
-TEST(SessionTraceTest, FailedWriteLeavesNoPartialFile) {
-  auto objective = make_objective(5);
-  RandomSearch rs;
-  const auto result = rs.tune(objective, 2, 9);
-  const std::string path = "/nonexistent/dir/trace.csv";
-  EXPECT_FALSE(write_csv_file(result, path));
-  EXPECT_EQ(std::ifstream(path).good(), false);
-  EXPECT_EQ(std::ifstream(path + ".tmp").good(), false);
-  // Success replaces the target atomically: no .tmp residue either.
-  const std::string good = "/tmp/robotune_trace_atomic_test.csv";
-  EXPECT_TRUE(write_csv_file(result, good));
-  EXPECT_TRUE(std::ifstream(good).good());
-  EXPECT_FALSE(std::ifstream(good + ".tmp").good());
-  std::remove(good.c_str());
-}
-
-TEST(SessionTraceTest, IncludeParametersFalseOmitsParameterColumns) {
-  auto objective = make_objective(5);
-  RandomSearch rs;
-  const auto result = rs.tune(objective, 4, 9);
-  std::stringstream out;
-  TraceOptions options;
-  options.space = &objective.space();  // ignored without parameters
-  options.include_parameters = false;
-  write_csv(result, out, options);
-  std::vector<std::string> fields;
-  std::size_t records = 0;
-  while (read_csv_record(out, fields)) {
-    EXPECT_EQ(fields.size(), 7u) << "record " << records;
-    ++records;
-  }
-  EXPECT_EQ(records, 5u);  // header + 4 rows
 }
 
 // --------------------------------------------------------------- RFHOC ----

@@ -279,14 +279,13 @@ TEST(GuntherTest, InitialPopulationDominatesBudgetAtHighDims) {
   // The paper's critique (§6): 2 initial configs per parameter over 44
   // parameters consumes most of a 100-evaluation budget.
   auto objective = make_objective(12);
-  GuntherOptions options;
-  Gunther g(options);
+  Gunther g;
   const auto result = g.tune(objective, 100, 5);
   // 85% cap applies: exactly 85 random initial evaluations.
   EXPECT_EQ(result.history.size(), 100u);
-  const int init = static_cast<int>(
-      std::min(options.initial_per_param * 44.0,
-               100.0 * options.max_initial_budget_fraction));
+  const int init =
+      static_cast<int>(std::min(Gunther::kInitialPerParam * 44.0,
+                                100.0 * Gunther::kMaxInitialBudgetFraction));
   EXPECT_EQ(init, 85);
 }
 
