@@ -18,4 +18,15 @@ bool parse_int(const std::string& text, int& out);
 bool parse_u64(const std::string& text, std::uint64_t& out);
 bool parse_double(const std::string& text, double& out);
 
+/// The three parsers under one overloaded name, for generic callers.
+inline bool parse_number(const std::string& text, int& out) {
+  return parse_int(text, out);
+}
+inline bool parse_number(const std::string& text, std::uint64_t& out) {
+  return parse_u64(text, out);
+}
+inline bool parse_number(const std::string& text, double& out) {
+  return parse_double(text, out);
+}
+
 }  // namespace robotune

@@ -1,11 +1,7 @@
 #include "core/persistence.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <charconv>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string_view>
@@ -13,6 +9,7 @@
 #include "common/chaos.h"
 #include "common/error.h"
 #include "common/frame.h"
+#include "obs/durable_file.h"
 
 namespace robotune::core {
 
@@ -20,25 +17,17 @@ namespace {
 constexpr const char* kHeader = "robotune-state v1";
 constexpr const char* kSessionHeader = "robotune-session v3";
 
-// Whitespace tokenizer with file:line error context.  Every numeric
+// Whitespace tokenizer over one record payload.  Every numeric
 // conversion goes through std::from_chars with a full-token-consumption
-// check, so a malformed field surfaces as InvalidArgument("<source>:<N>:
-// ...") instead of an uncaught std::invalid_argument or a silently
-// truncated value.
+// check, so a malformed field surfaces as InvalidArgument (read_framed
+// adds the file and line) instead of an uncaught std::invalid_argument or
+// a silently truncated value.
 class RecordParser {
  public:
-  RecordParser(std::string_view payload, const std::string& source,
-               std::size_t line)
-      : payload_(payload), source_(source), line_(line) {}
+  explicit RecordParser(std::string_view payload) : payload_(payload) {}
 
   [[noreturn]] void fail(const std::string& what) const {
-    throw InvalidArgument("load_session: " + source_ + ":" +
-                          std::to_string(line_) + ": " + what);
-  }
-
-  bool at_end() {
-    skip_spaces();
-    return pos_ >= payload_.size();
+    throw InvalidArgument(what);
   }
 
   std::string_view token(const char* field) {
@@ -54,9 +43,10 @@ class RecordParser {
     return payload_.substr(start, pos_ - start);
   }
 
-  std::uint64_t u64(const char* field) {
+  template <typename T>
+  T number(const char* field) {
     const std::string_view t = token(field);
-    std::uint64_t value = 0;
+    T value{};
     const auto [ptr, ec] =
         std::from_chars(t.data(), t.data() + t.size(), value);
     if (ec != std::errc() || ptr != t.data() + t.size()) {
@@ -65,33 +55,26 @@ class RecordParser {
     }
     return value;
   }
+  std::uint64_t u64(const char* field) { return number<std::uint64_t>(field); }
+  int i(const char* field) { return number<int>(field); }
+  double d(const char* field) { return number<double>(field); }
 
-  int i(const char* field) {
-    const std::string_view t = token(field);
-    int value = 0;
-    const auto [ptr, ec] =
-        std::from_chars(t.data(), t.data() + t.size(), value);
-    if (ec != std::errc() || ptr != t.data() + t.size()) {
-      fail(std::string("malformed ") + field + " field: '" + std::string(t) +
-           "'");
-    }
-    return value;
-  }
-
-  double d(const char* field) {
-    const std::string_view t = token(field);
-    double value = 0.0;
-    const auto [ptr, ec] =
-        std::from_chars(t.data(), t.data() + t.size(), value);
-    if (ec != std::errc() || ptr != t.data() + t.size()) {
-      fail(std::string("malformed ") + field + " field: '" + std::string(t) +
-           "'");
-    }
-    return value;
+  // `n` items read by `item`, where `n` is a count from the payload.  The
+  // vector grows with the tokens actually present, so a count promising
+  // more than the payload holds fails at the first missing token instead
+  // of sizing an allocation from the record.
+  template <typename Item>
+  auto list(std::uint64_t n, Item&& item) {
+    std::vector<decltype(item())> out;
+    // Each token takes at least two bytes: a separator and a character.
+    out.reserve(std::min<std::uint64_t>(n, (payload_.size() - pos_ + 1) / 2));
+    while (out.size() < n) out.push_back(item());
+    return out;
   }
 
   void done(const char* record) {
-    if (!at_end()) {
+    skip_spaces();
+    if (pos_ < payload_.size()) {
       fail(std::string("trailing data in ") + record + " record");
     }
   }
@@ -105,65 +88,74 @@ class RecordParser {
   }
 
   std::string_view payload_;
-  const std::string& source_;
-  std::size_t line_;
   std::size_t pos_ = 0;
 };
 
-// Parses one session record payload.
-void parse_session_record(RecordParser& p, SessionCheckpoint& session) {
+sparksim::RunStatus run_status(RecordParser& p, const char* field) {
+  const std::string_view label = p.token(field);
+  const auto status = sparksim::run_status_from_string(std::string(label));
+  if (!status.has_value()) {
+    p.fail("unknown run status: '" + std::string(label) + "'");
+  }
+  return *status;
+}
+
+std::vector<double> unit(RecordParser& p, const char* dims_field,
+                         const char* field) {
+  return p.list(p.u64(dims_field), [&] { return p.d(field); });
+}
+
+// Parses one session record payload.  Fields are read into locals and
+// the checkpoint changes only after the whole record parsed, so a
+// rejected record leaves the kept prefix exactly as it was.
+void parse_session_record(std::string_view payload,
+                          SessionCheckpoint& session) {
+  RecordParser p(payload);
   const std::string_view kind = p.token("record kind");
   if (kind == "meta") {
-    session.seed = p.u64("seed");
-    session.budget = p.i("budget");
-    session.workload = std::string(p.token("workload"));
+    const std::uint64_t seed = p.u64("seed");
+    const int budget = p.i("budget");
+    std::string workload(p.token("workload"));
     p.done("meta");
+    session.seed = seed;
+    session.budget = budget;
+    session.workload = std::move(workload);
   } else if (kind == "seeding") {
     const std::string_view mode = p.token("seeding mode");
     if (mode != "sequential" && mode != "indexed") {
       p.fail("malformed seeding mode: '" + std::string(mode) + "'");
     }
-    session.indexed_seeding = mode == "indexed";
     p.done("seeding");
+    session.indexed_seeding = mode == "indexed";
   } else if (kind == "selected") {
-    const std::uint64_t count = p.u64("selected count");
-    session.selected.resize(count);
-    for (auto& idx : session.selected) {
-      idx = static_cast<std::size_t>(p.u64("selected index"));
-    }
+    auto selected = p.list(p.u64("selected count"), [&] {
+      return static_cast<std::size_t>(p.u64("selected index"));
+    });
     p.done("selected");
+    session.selected = std::move(selected);
   } else if (kind == "selection-draws") {
     p.u64("selection-draws");  // written by older releases; replays nothing
     p.done("selection-draws");
   } else if (kind == "selection-cost") {
-    session.selection_cost_s = p.d("selection-cost");
+    const double cost = p.d("selection-cost");
     p.done("selection-cost");
+    session.selection_cost_s = cost;
   } else if (kind == "memo") {
     MemoizedConfig config;
     config.value_s = p.d("memo value");
-    const std::uint64_t dims = p.u64("memo dims");
-    config.unit.resize(dims);
-    for (auto& u : config.unit) u = p.d("memo unit coordinate");
+    config.unit = unit(p, "memo dims", "memo unit coordinate");
     p.done("memo");
     session.memoized.push_back(std::move(config));
   } else if (kind == "eval") {
     EvalRecord e;
     e.index = p.u64("eval index");
-    const std::string_view status_label = p.token("eval status");
-    const auto status =
-        sparksim::run_status_from_string(std::string(status_label));
-    if (!status.has_value()) {
-      p.fail("unknown run status: '" + std::string(status_label) + "'");
-    }
-    e.status = *status;
+    e.status = run_status(p, "eval status");
     e.value_s = p.d("eval value");
     e.cost_s = p.d("eval cost");
     e.stopped_early = p.i("eval stopped flag") != 0;
     e.transient = p.i("eval transient flag") != 0;
     e.attempts = p.i("eval attempts");
-    const std::uint64_t dims = p.u64("eval dims");
-    e.unit.resize(dims);
-    for (auto& u : e.unit) u = p.d("eval unit coordinate");
+    e.unit = unit(p, "eval dims", "eval unit coordinate");
     p.done("eval");
     session.evaluations.push_back(std::move(e));
   } else if (kind == "degrade") {
@@ -173,8 +165,9 @@ void parse_session_record(RecordParser& p, SessionCheckpoint& session) {
     p.done("degrade");
     session.degrade_events.push_back(std::move(event));
   } else if (kind == "racing") {
-    session.racing_mode = std::string(p.token("racing signature"));
+    std::string signature(p.token("racing signature"));
     p.done("racing");
+    session.racing_mode = std::move(signature);
   } else if (kind == "kill") {
     KillEvent event;
     event.index = p.u64("kill index");
@@ -192,27 +185,19 @@ void parse_session_record(RecordParser& p, SessionCheckpoint& session) {
     if (mode != "external") {
       p.fail("malformed session mode: '" + std::string(mode) + "'");
     }
-    session.external = true;
     p.done("mode");
+    session.external = true;
   } else if (kind == "suggest") {
     SuggestRecord s;
     s.index = p.u64("suggest index");
     s.lease = p.u64("suggest lease");
-    const std::uint64_t dims = p.u64("suggest dims");
-    s.unit.resize(dims);
-    for (auto& u : s.unit) u = p.d("suggest unit coordinate");
+    s.unit = unit(p, "suggest dims", "suggest unit coordinate");
     p.done("suggest");
     session.suggests.push_back(std::move(s));
   } else if (kind == "observe_ack") {
     ObserveAck ack;
     ack.index = p.u64("observe_ack index");
-    const std::string_view status_label = p.token("observe_ack status");
-    const auto status =
-        sparksim::run_status_from_string(std::string(status_label));
-    if (!status.has_value()) {
-      p.fail("unknown run status: '" + std::string(status_label) + "'");
-    }
-    ack.status = *status;
+    ack.status = run_status(p, "observe_ack status");
     ack.value_s = p.d("observe_ack value");
     ack.cost_s = p.d("observe_ack cost");
     p.done("observe_ack");
@@ -226,23 +211,6 @@ void parse_session_record(RecordParser& p, SessionCheckpoint& session) {
   } else {
     p.fail("unknown record kind: '" + std::string(kind) + "'");
   }
-}
-
-bool fsync_file(const char* path) {
-  const int fd = ::open(path, O_RDONLY);
-  if (fd < 0) return false;
-  const bool ok = ::fsync(fd) == 0;
-  ::close(fd);
-  return ok;
-}
-
-// fsyncs the directory containing `path` so the rename itself is durable.
-bool fsync_parent(const std::string& path) {
-  const auto slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : path.substr(0, slash == 0 ? 1 : slash);
-  return fsync_file(dir.c_str());
 }
 
 }  // namespace
@@ -352,10 +320,8 @@ std::size_t load_state(std::istream& in, ParameterSelectionCache& selection,
 bool save_state_file(const ParameterSelectionCache& selection,
                      const ConfigMemoizationBuffer& memo,
                      const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return false;
-  save_state(selection, memo, out);
-  return static_cast<bool>(out);
+  return obs::write_file_atomically(
+      path, [&](std::ostream& out) { save_state(selection, memo, out); });
 }
 
 bool load_state_file(const std::string& path,
@@ -456,95 +422,71 @@ std::size_t load_session(std::istream& in, SessionCheckpoint& session) {
   return load_session(in, session, LoadMode::kStrict);
 }
 
+FramedReadReport read_framed(
+    std::istream& in, std::string_view header, LoadMode mode,
+    std::string_view what, const std::string& source,
+    const std::function<void(std::string_view payload)>& parse) {
+  FramedReadReport report;
+  std::string line;
+  std::string why;
+  std::size_t line_no = 0;
+  while (why.empty() && std::getline(in, line)) {
+    ++line_no;
+    std::string_view payload;
+    if (in.eof()) {
+      why = "torn line (no trailing newline)";
+    } else if (line_no == 1) {
+      report.header_ok = line == header;
+      if (!report.header_ok) why = "unrecognized header: " + line;
+    } else if (unframe_line(line, payload, why)) {
+      try {
+        parse(payload);
+      } catch (const InvalidArgument& e) {
+        why = e.what();
+      }
+    }
+    if (why.empty()) report.valid_bytes += line.size() + 1;
+  }
+  if (mode == LoadMode::kStrict && (line_no == 0 || !why.empty())) {
+    const std::string at = std::string(what) + ": " + source;
+    if (line_no == 0) throw InvalidArgument(at + ": empty stream");
+    throw InvalidArgument(at + ":" + std::to_string(line_no) + ": " + why);
+  }
+  if (why.empty()) return report;
+  // Nothing after the first bad line can be trusted.
+  report.dropped = 1;
+  while (std::getline(in, line)) ++report.dropped;
+  return report;
+}
+
 std::size_t load_session(std::istream& in, SessionCheckpoint& session,
                          LoadMode mode, SessionLoadReport* report,
                          const std::string& source) {
-  SessionLoadReport local;
-  SessionLoadReport& rep = report ? *report : local;
-  rep = SessionLoadReport{};
+  if (report != nullptr) *report = SessionLoadReport{};
   session = SessionCheckpoint{};
-
-  std::string line;
-  std::size_t line_no = 1;
-  if (!std::getline(in, line)) {
-    if (mode == LoadMode::kRecover) {
-      rep.recovered = true;
-      return 0;
-    }
-    throw InvalidArgument("load_session: " + source + ": empty stream");
+  const FramedReadReport framed = read_framed(
+      in, kSessionHeader, mode, "load_session", source,
+      [&session](std::string_view payload) {
+        parse_session_record(payload, session);
+      });
+  if (report != nullptr) {
+    report->evaluations = session.evaluations.size();
+    report->dropped_records = framed.dropped;
+    // An empty or torn header makes the file unusable, not a journal.
+    report->recovered = !framed.header_ok || framed.dropped > 0;
+    report->version = framed.header_ok ? 3 : 0;
   }
-  if (line != kSessionHeader) {
-    if (mode == LoadMode::kStrict) {
-      throw InvalidArgument("load_session: " + source +
-                            ": unrecognized header: " + line);
-    }
-    // A header torn mid-write (or an unsupported format): nothing
-    // trustworthy follows, and version 0 tells the caller so.
-    rep.recovered = true;
-    ++rep.dropped_records;
-    while (std::getline(in, line)) ++rep.dropped_records;
-    return 0;
-  }
-  rep.version = 3;
-
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty() || line[0] == '#') continue;
-    std::string_view record;
-    std::string why;
-    bool ok = unframe_line(line, record, why);
-    if (ok) {
-      RecordParser parser(record, source, line_no);
-      if (mode == LoadMode::kRecover) {
-        // A frame that passes CRC but fails to parse is still treated
-        // as the corruption point: nothing after it can be trusted.
-        // Parse against a scratch copy so a half-parsed record cannot
-        // leave partially-mutated fields in the kept prefix.
-        SessionCheckpoint scratch = session;
-        try {
-          parse_session_record(parser, scratch);
-          session = std::move(scratch);
-        } catch (const InvalidArgument&) {
-          ok = false;
-        }
-      } else {
-        parse_session_record(parser, session);
-      }
-    }
-    if (!ok) {
-      if (mode == LoadMode::kRecover) {
-        rep.recovered = true;
-        ++rep.dropped_records;
-        while (std::getline(in, line)) ++rep.dropped_records;
-        break;
-      }
-      throw InvalidArgument("load_session: " + source + ":" +
-                            std::to_string(line_no) + ": " + why);
-    }
-  }
-  rep.evaluations = session.evaluations.size();
   return session.evaluations.size();
 }
 
 bool save_session_file(const SessionCheckpoint& session,
                        const std::string& path, SyncPolicy sync) {
   // Chaos site: a simulated I/O error leaves the previous checkpoint (if
-  // any) untouched, exactly like a failed open would.
+  // any) untouched, exactly like a failed write would.
   if (chaos::fail(chaos::Site::kJournalWrite)) return false;
-  // Write-then-rename so a crash mid-write never corrupts an existing
-  // checkpoint: resume either sees the old journal or the new one.
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp);
-    if (!out) return false;
-    save_session(session, out);
-    out.flush();
-    if (!out) return false;
-  }
-  if (sync == SyncPolicy::kFsync && !fsync_file(tmp.c_str())) return false;
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) return false;
-  if (sync == SyncPolicy::kFsync && !fsync_parent(path)) return false;
-  return true;
+  return obs::write_file_atomically(
+      path, [&](std::ostream& out) { save_session(session, out); },
+      sync == SyncPolicy::kFsync);
 }
 
 bool load_session_file(const std::string& path, SessionCheckpoint& session,

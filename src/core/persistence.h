@@ -64,12 +64,14 @@
 // idempotently; `lease_expired` is the reaper's audit trail.
 //
 // The framing makes a torn write (power loss mid-checkpoint) or a bit
-// flip detectable at load time: in LoadMode::kRecover the loader
-// truncates at the first bad frame and returns the longest valid record
-// prefix instead of throwing; LoadMode::kStrict keeps the historical
-// throw-on-corruption behavior.  Any other header (including the
-// unframed v1/v2 formats nothing writes anymore) is not a journal: strict
-// loads throw, recover loads keep nothing and report version 0.
+// flip detectable at load time (read_framed below): in LoadMode::kRecover
+// the loader truncates at the first bad line — a bad frame, a final line
+// without its '\n', or a well-framed record that does not parse — and
+// returns the longest valid record prefix instead of throwing;
+// LoadMode::kStrict throws on it.  Any other header (including the
+// unframed v1/v2 formats nothing writes anymore), a torn header and an
+// empty file are not a journal: strict loads throw, recover loads keep
+// nothing and report version 0.
 //
 // A parallel session journals evaluations in *completion* order, which
 // under concurrency is not index order and can have holes after a crash
@@ -79,8 +81,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/memoization.h"
@@ -224,7 +228,9 @@ std::size_t save_state(const ParameterSelectionCache& selection,
 std::size_t load_state(std::istream& in, ParameterSelectionCache& selection,
                        ConfigMemoizationBuffer& memo);
 
-/// Convenience file wrappers.  Return false when the file cannot be
+/// Convenience file wrappers.  Save replaces the file atomically
+/// (obs::write_file_atomically) and returns false, leaving the previous
+/// file, when any step fails.  Load returns false when the file cannot be
 /// opened (a missing state file is not an error for a fresh install).
 bool save_state_file(const ParameterSelectionCache& selection,
                      const ConfigMemoizationBuffer& memo,
@@ -238,6 +244,29 @@ enum class LoadMode {
   kStrict,   ///< any bad frame / malformed record throws InvalidArgument
   kRecover,  ///< truncate at the first bad record, keep the valid prefix
 };
+
+/// What read_framed found.
+struct FramedReadReport {
+  bool header_ok = false;       ///< the first line was `<header>\n`
+  std::size_t dropped = 0;      ///< lines from the first bad one on
+  std::size_t valid_bytes = 0;  ///< header plus accepted records, in bytes
+};
+
+/// The one reader of CRC-framed files — session journals, the fleet event
+/// journal and spec files: `<header>\n`, then one frame (common/frame.h)
+/// per line.  Every line, the header included, must end in '\n': a final
+/// line without it is a torn write.  Each payload goes to `parse`, which
+/// throws InvalidArgument to reject the record.  kStrict throws
+/// InvalidArgument("<what>: <source>:<line>: <why>") at the first bad
+/// header, frame or record, and "<what>: <source>: empty stream" on an
+/// empty stream.  kRecover never throws for bad input: it stops at the
+/// first bad line and counts it and every line after it as dropped.  An
+/// empty stream has no header and drops nothing; each caller decides
+/// what that means.
+FramedReadReport read_framed(
+    std::istream& in, std::string_view header, LoadMode mode,
+    std::string_view what, const std::string& source,
+    const std::function<void(std::string_view payload)>& parse);
 
 /// Durability of save_session_file.
 enum class SyncPolicy {
@@ -270,10 +299,11 @@ std::size_t load_session(std::istream& in, SessionCheckpoint& session,
                          LoadMode mode, SessionLoadReport* report = nullptr,
                          const std::string& source = "<stream>");
 
-/// File wrappers; save replaces the file atomically enough for a
-/// kill-anytime workflow (write then rename; SyncPolicy::kFsync adds
-/// fsync-per-checkpoint durability).  Load returns false when the file
-/// cannot be opened (no checkpoint yet).
+/// File wrappers; save replaces the file atomically
+/// (obs::write_file_atomically; SyncPolicy::kFsync adds
+/// fsync-per-checkpoint durability) and returns false, leaving the
+/// previous checkpoint, when any step fails.  Load returns false when the
+/// file cannot be opened (no checkpoint yet).
 bool save_session_file(const SessionCheckpoint& session,
                        const std::string& path,
                        SyncPolicy sync = SyncPolicy::kNone);

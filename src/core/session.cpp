@@ -12,6 +12,7 @@
 #include "common/frame.h"
 #include "common/numbers.h"
 #include "core/external.h"
+#include "obs/durable_file.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tuners/bestconfig.h"
@@ -240,38 +241,11 @@ bool decode_spec_body(const std::string& body, SessionSpec& spec,
   return true;
 }
 
-std::string encode_spec(const SessionSpec& spec) {
-  return std::string(kSpecHeader) + "\n" +
-         frame_message(encode_spec_body(spec));
-}
-
-bool decode_spec(const std::string& text, SessionSpec& spec,
-                 std::string* error) {
-  const auto fail = [&](const std::string& why) {
-    if (error != nullptr) *error = why;
-    return false;
-  };
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line) || line != kSpecHeader) {
-    return fail("bad spec header");
-  }
-  if (!std::getline(in, line)) return fail("missing spec record");
-  std::string_view body;
-  std::string why;
-  if (!unframe_line(line, body, why)) return fail("spec: " + why);
-  return decode_spec_body(std::string(body), spec, error);
-}
-
 bool save_spec_file(const SessionSpec& spec, const std::string& path) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return false;
-    out << encode_spec(spec);
-    if (!out) return false;
-  }
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
+  return obs::write_file_atomically(path, [&](std::ostream& out) {
+    out << kSpecHeader << '\n';
+    write_frame(out, encode_spec_body(spec));
+  });
 }
 
 bool load_spec_file(const std::string& path, SessionSpec& spec,
@@ -281,9 +255,26 @@ bool load_spec_file(const std::string& path, SessionSpec& spec,
     if (error != nullptr) *error = "cannot open " + path;
     return false;
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return decode_spec(buffer.str(), spec, error);
+  // A spec file is the header plus exactly one record.
+  std::string body;
+  std::size_t records = 0;
+  try {
+    read_framed(in, kSpecHeader, LoadMode::kStrict, "load_spec", path,
+                [&](std::string_view payload) {
+                  if (++records > 1) {
+                    throw InvalidArgument("more than one spec record");
+                  }
+                  body = payload;
+                });
+  } catch (const InvalidArgument& e) {
+    if (error != nullptr) *error = e.what();
+    return false;
+  }
+  if (records == 0) {
+    if (error != nullptr) *error = "load_spec: " + path + ": no spec record";
+    return false;
+  }
+  return decode_spec_body(body, spec, error);
 }
 
 Session::Session(SessionSpec spec) : spec_(std::move(spec)) {

@@ -34,7 +34,7 @@
 namespace robotune::core {
 
 /// Everything needed to run (or re-run) one tuning session.  The
-/// tuning-relevant fields round-trip through encode_spec/decode_spec;
+/// tuning-relevant fields round-trip through the spec body codec;
 /// the durability fields (checkpoint_path, resume, recover, sync) are
 /// host wiring — the daemon derives them from its service root — and are
 /// not serialized.
@@ -101,14 +101,12 @@ std::string encode_spec_body(const SessionSpec& spec);
 bool decode_spec_body(const std::string& body, SessionSpec& spec,
                       std::string* error = nullptr);
 
-/// Serializes the tuning-relevant fields as a framed spec file body.
-std::string encode_spec(const SessionSpec& spec);
-/// Parses encode_spec output.  Durability fields are left untouched.
-/// Returns false (with `error` set, when non-null) on a malformed,
-/// torn, or corrupt spec.
-bool decode_spec(const std::string& text, SessionSpec& spec,
-                 std::string* error = nullptr);
-/// File wrappers (write-then-rename, like the journal).
+/// Spec files: the header plus one framed encode_spec_body record.  Save
+/// replaces the file atomically (obs::write_file_atomically) and returns
+/// false, leaving the previous file, when any step fails.  Load leaves
+/// the durability fields of `spec` untouched and returns false (with
+/// `error` set, when non-null) on a missing, malformed, torn or corrupt
+/// spec.
 bool save_spec_file(const SessionSpec& spec, const std::string& path);
 bool load_spec_file(const std::string& path, SessionSpec& spec,
                     std::string* error = nullptr);

@@ -1,9 +1,10 @@
 #include "obs/prometheus.h"
 
+#include "obs/durable_file.h"
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <ostream>
 #include <sstream>
@@ -164,22 +165,9 @@ std::string render_prometheus(const MetricsSnapshot& snapshot) {
 
 bool write_prometheus_file(const MetricsSnapshot& snapshot,
                            const std::string& path) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return false;
+  return write_file_atomically(path, [&](std::ostream& out) {
     write_prometheus(snapshot, out);
-    if (!out) {
-      out.close();
-      std::remove(tmp.c_str());
-      return false;
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
+  });
 }
 
 }  // namespace robotune::obs

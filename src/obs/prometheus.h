@@ -38,8 +38,8 @@ void write_prometheus(const MetricsSnapshot& snapshot, std::ostream& out);
 /// verb ships this over the socket).
 std::string render_prometheus(const MetricsSnapshot& snapshot);
 
-/// File wrapper (temp file + rename — a scraper never sees a partial
-/// dump); false when the path is unwritable, leaving nothing behind.
+/// File wrapper over write_file_atomically (a scraper never sees a
+/// partial dump); false when any step fails, leaving the previous dump.
 bool write_prometheus_file(const MetricsSnapshot& snapshot,
                            const std::string& path);
 

@@ -1,8 +1,9 @@
 #include "obs/summary.h"
 
+#include "obs/durable_file.h"
+
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <ostream>
 #include <sstream>
@@ -82,22 +83,9 @@ void write_metrics_json(const MetricsSnapshot& snapshot, std::ostream& out) {
 
 bool write_metrics_file(const MetricsSnapshot& snapshot,
                         const std::string& path) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return false;
+  return write_file_atomically(path, [&](std::ostream& out) {
     write_metrics_json(snapshot, out);
-    if (!out) {
-      out.close();
-      std::remove(tmp.c_str());
-      return false;
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
+  });
 }
 
 std::string render_summary(const MetricsSnapshot& snapshot,

@@ -21,8 +21,8 @@ namespace robotune::obs {
 /// annotated as scheduling-dependent.
 void write_metrics_json(const MetricsSnapshot& snapshot, std::ostream& out);
 
-/// File wrapper (temp file + rename); false when the path is unwritable,
-/// leaving no partial file behind.
+/// File wrapper over write_file_atomically; false when any step fails,
+/// leaving the previous file and no partial one.
 bool write_metrics_file(const MetricsSnapshot& snapshot,
                         const std::string& path);
 

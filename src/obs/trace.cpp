@@ -1,10 +1,10 @@
 #include "obs/trace.h"
 
+#include "obs/durable_file.h"
 #include "obs/metrics.h"
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <ostream>
 
 namespace robotune::obs {
@@ -90,26 +90,6 @@ void write_span_json(std::ostream& out, const SpanRecord& span,
   out << "}";
 }
 
-template <typename WriteFn>
-bool atomic_write(const std::string& path, WriteFn&& write_fn) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return false;
-    write_fn(out);
-    if (!out) {
-      out.close();
-      std::remove(tmp.c_str());
-      return false;
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 void write_spans(const std::vector<SpanRecord>& spans, std::ostream& out,
@@ -146,7 +126,7 @@ void write_spans(const std::vector<SpanRecord>& spans, std::ostream& out,
 
 bool write_spans_file(const std::vector<SpanRecord>& spans,
                       const std::string& path, TraceFormat format) {
-  return atomic_write(
+  return write_file_atomically(
       path, [&](std::ostream& out) { write_spans(spans, out, format); });
 }
 
@@ -230,7 +210,7 @@ void Tracer::write(std::ostream& out, TraceFormat format) const {
 }
 
 bool Tracer::write_file(const std::string& path, TraceFormat format) const {
-  return atomic_write(
+  return write_file_atomically(
       path, [&](std::ostream& out) { write(out, format); });
 }
 

@@ -61,8 +61,8 @@ std::string json_escape(std::string_view text);
 void write_spans(const std::vector<SpanRecord>& spans, std::ostream& out,
                  TraceFormat format);
 
-/// File wrapper over write_spans (temp file + rename); false when the
-/// path is unwritable, leaving no partial file behind.
+/// File wrapper over write_spans and write_file_atomically; false when
+/// any step fails, leaving the previous file and no partial one.
 bool write_spans_file(const std::vector<SpanRecord>& spans,
                       const std::string& path, TraceFormat format);
 
@@ -89,8 +89,8 @@ class Tracer {
   void reset();
 
   void write(std::ostream& out, TraceFormat format) const;
-  /// Writes via a temp file + rename; false when the path is unwritable
-  /// (no partial file is left behind).
+  /// Writes via write_file_atomically; false when any step fails (the
+  /// previous file stays, no partial file is left behind).
   bool write_file(const std::string& path, TraceFormat format) const;
 
   struct Buffer;  // public for the thread-local registration machinery

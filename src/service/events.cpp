@@ -141,24 +141,19 @@ bool parse_json_string(std::string_view s, std::size_t& pos,
   return false;  // unterminated string
 }
 
-bool parse_event(std::string_view payload, FleetEvent& event,
-                 std::string& why) {
+bool parse_event(std::string_view payload, FleetEvent& event) {
   std::size_t pos = 0;
-  why = "malformed event record";
-  if (!parse_literal(payload, pos, "{\"seq\":")) return false;
-  if (!parse_u64(payload, pos, event.seq)) return false;
-  if (!parse_literal(payload, pos, ",\"sid\":")) return false;
-  if (!parse_u64(payload, pos, event.session)) return false;
-  if (!parse_literal(payload, pos, ",\"ts_ms\":")) return false;
-  if (!parse_i64(payload, pos, event.ts_ms)) return false;
-  if (!parse_literal(payload, pos, ",\"kind\":")) return false;
-  if (!parse_json_string(payload, pos, event.kind)) return false;
-  if (!parse_literal(payload, pos, ",\"detail\":")) return false;
-  if (!parse_json_string(payload, pos, event.detail)) return false;
-  if (!parse_literal(payload, pos, "}")) return false;
-  if (pos != payload.size()) return false;
-  why.clear();
-  return true;
+  return parse_literal(payload, pos, "{\"seq\":") &&
+         parse_u64(payload, pos, event.seq) &&
+         parse_literal(payload, pos, ",\"sid\":") &&
+         parse_u64(payload, pos, event.session) &&
+         parse_literal(payload, pos, ",\"ts_ms\":") &&
+         parse_i64(payload, pos, event.ts_ms) &&
+         parse_literal(payload, pos, ",\"kind\":") &&
+         parse_json_string(payload, pos, event.kind) &&
+         parse_literal(payload, pos, ",\"detail\":") &&
+         parse_json_string(payload, pos, event.detail) &&
+         parse_literal(payload, pos, "}") && pos == payload.size();
 }
 
 std::string rotated_path(const EventJournal::Options& options,
@@ -176,18 +171,6 @@ std::vector<std::string> chain_paths(const EventJournal::Options& options) {
   }
   if (fs::exists(options.path, ec)) out.push_back(options.path);
   return out;
-}
-
-std::size_t count_lines(std::string_view text) {
-  std::size_t n = 0;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    const std::size_t eol = text.find('\n', pos);
-    ++n;
-    if (eol == std::string_view::npos) break;
-    pos = eol + 1;
-  }
-  return n;
 }
 
 }  // namespace
@@ -249,76 +232,30 @@ void EventJournal::close() {
 
 bool EventJournal::load_file(const std::string& path,
                              std::vector<FleetEvent>& out,
-                             core::LoadMode mode, LoadReport* report_out) {
+                             core::LoadMode mode, LoadReport* report) {
   out.clear();
-  LoadReport report;
-  const auto deliver = [&]() {
-    report.events = out.size();
-    if (report_out != nullptr) *report_out = report;
-  };
+  if (report != nullptr) *report = LoadReport{};
   std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    deliver();
-    return false;
+  if (!in) return false;
+  const core::FramedReadReport framed = core::read_framed(
+      in, kHeader, mode, "load_events", path, [&out](std::string_view payload) {
+        FleetEvent event;
+        if (!parse_event(payload, event)) {
+          throw InvalidArgument("malformed event record");
+        }
+        if (event.seq <= (out.empty() ? 0 : out.back().seq)) {
+          throw InvalidArgument("non-monotonic sequence number");
+        }
+        out.push_back(std::move(event));
+      });
+  if (report != nullptr) {
+    report->events = out.size();
+    report->dropped = framed.dropped;
+    report->recovered = framed.dropped > 0;
+    // An empty file is a journal whose header was never written: fresh.
+    report->header_ok = framed.header_ok || framed.dropped == 0;
+    report->valid_bytes = framed.valid_bytes;
   }
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  const bool strict = mode == core::LoadMode::kStrict;
-
-  if (content.empty()) {
-    if (strict) throw InvalidArgument("load_events: " + path + ": empty stream");
-    deliver();
-    return true;
-  }
-  std::size_t eol = content.find('\n');
-  if (eol == std::string::npos ||
-      std::string_view(content).substr(0, eol) != kHeader) {
-    if (strict) {
-      throw InvalidArgument("load_events: " + path + ":1: bad header");
-    }
-    report.header_ok = false;
-    report.recovered = true;
-    report.dropped = count_lines(content);
-    deliver();
-    return true;
-  }
-  std::size_t cursor = eol + 1;
-  report.valid_bytes = cursor;
-  std::size_t line_no = 1;
-  std::uint64_t prev_seq = 0;
-  while (cursor < content.size()) {
-    ++line_no;
-    std::string why;
-    eol = content.find('\n', cursor);
-    bool ok = eol != std::string::npos;
-    if (!ok) why = "torn record (no trailing newline)";
-    FleetEvent event;
-    if (ok) {
-      std::string_view payload;
-      const std::string_view line(content.data() + cursor, eol - cursor);
-      ok = unframe_line(line, payload, why) &&
-           parse_event(payload, event, why);
-      if (ok && event.seq <= prev_seq) {
-        ok = false;
-        why = "non-monotonic sequence number";
-      }
-    }
-    if (!ok) {
-      if (strict) {
-        throw InvalidArgument("load_events: " + path + ":" +
-                              std::to_string(line_no) + ": " + why);
-      }
-      report.recovered = true;
-      report.dropped =
-          count_lines(std::string_view(content).substr(cursor));
-      break;
-    }
-    prev_seq = event.seq;
-    out.push_back(std::move(event));
-    cursor = eol + 1;
-    report.valid_bytes = cursor;
-  }
-  deliver();
   return true;
 }
 

@@ -9,11 +9,13 @@
 //   <crc32:8 hex> <len> {"seq":1,"sid":3,"ts_ms":...,"kind":"admission.accept","detail":""}
 //
 // The framing is the wire protocol's / journal v3's `<crc32> <len>
-// <payload>` line frame (common/frame.h), so the loader mirrors journal
-// v3 semantics: LoadMode::kStrict throws InvalidArgument at the first
-// torn or corrupt record (with file:line), LoadMode::kRecover truncates
-// to the longest valid prefix and reports how many trailing lines were
-// dropped — the kill -9 case.  Reopening an existing journal
+// <payload>` line frame (common/frame.h), and the loader is journal v3's
+// (core::read_framed): LoadMode::kStrict throws InvalidArgument at the
+// first torn or corrupt record (with file:line), LoadMode::kRecover
+// truncates to the longest valid prefix and reports how many trailing
+// lines were dropped — the kill -9 case.  A final frame without its
+// '\n' is torn, so the next append never joins that line; an empty file
+// is a journal whose header was never written.  Reopening an existing journal
 // recover-loads it first, truncates any torn tail *on disk*, and
 // continues the sequence from the last durable record, so a crashed
 // daemon's event history stays a single monotonic stream across

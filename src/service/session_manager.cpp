@@ -1,8 +1,5 @@
 #include "service/session_manager.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -12,6 +9,7 @@
 #include <utility>
 
 #include "common/chaos.h"
+#include "obs/durable_file.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "service/telemetry.h"
@@ -35,14 +33,6 @@ std::uint64_t derive_session_seed(std::uint64_t service_seed,
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
-}
-
-/// Best-effort fsync of a path (file or directory).
-void sync_path(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return;
-  ::fsync(fd);
-  ::close(fd);
 }
 
 }  // namespace
@@ -593,9 +583,9 @@ SessionManager::CheckpointResult SessionManager::checkpoint(
   // the durability barrier (fsync file + directory) that the default
   // SyncPolicy::kNone skips.
   const std::string path = journal_path(id);
-  sync_path(path);
-  sync_path(spec_path(id));
-  sync_path(options_.root);
+  obs::fsync_path(path);
+  obs::fsync_path(spec_path(id));
+  obs::fsync_path(options_.root);
   result.ok = true;
   result.journal_path = path;
   return result;

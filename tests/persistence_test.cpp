@@ -1,8 +1,14 @@
-// Tests for the memoized-state persistence layer and the crash-safe
-// (v3, CRC-framed) session-journal format.
+// Tests for the memoized-state persistence layer, the crash-safe
+// (v3, CRC-framed) session-journal format, and the atomic writer every
+// whole-file dump goes through.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <csignal>
 #include <cstdio>
+#include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -10,6 +16,10 @@
 #include "common/frame.h"
 #include "common/error.h"
 #include "core/persistence.h"
+#include "core/session.h"
+#include "obs/prometheus.h"
+#include "obs/summary.h"
+#include "obs/trace.h"
 
 namespace robotune::core {
 namespace {
@@ -289,6 +299,12 @@ TEST(SessionJournalV3Test, MalformedFieldsThrowWithSourceAndLine) {
       {"kill 0 bogus-reason", "unknown kill reason"},
       {"kill 0 deadline extra", "trailing data"},
       {"wat 1 2", "unknown record kind"},
+      // Counts far beyond the payload: rejected at the first missing
+      // token, never sized into an allocation.
+      {"eval 1 ok 1 1 0 0 1 18446744073709551615 0.5",
+       "missing eval unit coordinate field"},
+      {"selected 4000000000 1", "missing selected index field"},
+      {"memo 1.0 100000000000 0.5", "missing memo unit coordinate field"},
   };
   for (const auto& [payload, expected] : cases) {
     std::istringstream in("robotune-session v3\n" + frame_message(payload));
@@ -322,6 +338,30 @@ TEST(SessionJournalV3Test, RecoverTruncatesAtAMalformedButFramedRecord) {
   EXPECT_EQ(report.dropped_records, 2u);  // the bad record + the one after
   ASSERT_EQ(s.evaluations.size(), 1u);
   EXPECT_EQ(s.workload, "W");
+}
+
+TEST(SessionJournalV3Test, RecoverNeverThrowsOnOversizedCounts) {
+  // A CRC catches torn writes, not crafted or buggy records: a framed
+  // record whose count promises more tokens than it holds is one more
+  // corruption point, and recover keeps the records before it.
+  for (const char* payload : {"eval 1 ok 1 1 0 0 1 18446744073709551615 0.5",
+                              "selected 4000000000 1",
+                              "memo 1.0 100000000000 0.5"}) {
+    std::istringstream in("robotune-session v3\n" +
+                          frame_message("meta 5 20 W") +
+                          frame_message("eval 0 ok 1 1 0 0 1 1 0.5") +
+                          frame_message(payload));
+    SessionCheckpoint s;
+    SessionLoadReport report;
+    ASSERT_NO_THROW(load_session(in, s, LoadMode::kRecover, &report))
+        << payload;
+    EXPECT_TRUE(report.recovered) << payload;
+    EXPECT_EQ(report.dropped_records, 1u) << payload;
+    EXPECT_EQ(s.workload, "W") << payload;
+    EXPECT_EQ(s.evaluations.size(), 1u) << payload;
+    EXPECT_TRUE(s.selected.empty()) << payload;
+    EXPECT_TRUE(s.memoized.empty()) << payload;
+  }
 }
 
 TEST(SessionJournalV3Test, TruncationAtEveryByteRecoversLongestPrefix) {
@@ -463,6 +503,112 @@ TEST(SessionJournalV3Test, FsyncPolicyRoundTripsOnDisk) {
   expect_prefix_of(loaded, original);
   EXPECT_EQ(loaded.evaluations.size(), original.evaluations.size());
   std::remove(path.c_str());
+}
+
+// ----------------------------------------- atomic whole-file writers ----
+
+// Lowers this process's own soft file-size limit for one scope, with
+// SIGXFSZ ignored, so a write past the limit fails with EFBIG the way a
+// full disk would, instead of killing the test.
+class FileSizeLimit {
+ public:
+  explicit FileSizeLimit(rlim_t bytes) {
+    getrlimit(RLIMIT_FSIZE, &saved_);
+    previous_ = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit lowered = saved_;
+    lowered.rlim_cur = bytes;
+    setrlimit(RLIMIT_FSIZE, &lowered);
+  }
+  ~FileSizeLimit() {
+    setrlimit(RLIMIT_FSIZE, &saved_);
+    std::signal(SIGXFSZ, previous_);
+  }
+
+ private:
+  rlimit saved_{};
+  void (*previous_)(int) = SIG_DFL;
+};
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+// Built by appending: GCC 12 flags `"x" + std::to_string(i)` with a false
+// -Werror=restrict.
+std::string numbered(std::string prefix, int i) {
+  prefix += std::to_string(i);
+  return prefix;
+}
+
+TEST(DurableWriteTest, FailedWriteKeepsTheOldFileAndLeavesNoTemp) {
+  // Every whole-file writer, with a size knob `n`: n = 1 writes the good
+  // file, n = 40 writes content well past the lowered limit.
+  using Writer = std::function<bool(const std::string& path, int n)>;
+  const std::vector<std::pair<std::string, Writer>> writers = {
+      {"save_state_file",
+       [](const std::string& path, int n) {
+         ParameterSelectionCache selection;
+         for (int i = 0; i < n; ++i) {
+           selection.store(numbered("W", i), {0, 1, 2});
+         }
+         return save_state_file(selection, ConfigMemoizationBuffer(), path);
+       }},
+      {"save_session_file",
+       [](const std::string& path, int n) {
+         SessionCheckpoint s = journal_checkpoint();
+         s.evaluations.resize(static_cast<std::size_t>(n));
+         return save_session_file(s, path);
+       }},
+      {"save_spec_file",
+       [](const std::string& path, int n) {
+         SessionSpec spec;
+         spec.seed = static_cast<std::uint64_t>(n);
+         return save_spec_file(spec, path);
+       }},
+      {"write_metrics_file",
+       [](const std::string& path, int n) {
+         obs::MetricsSnapshot snapshot;
+         for (int i = 0; i < n; ++i) {
+           snapshot.counters[numbered("evals.total.", i)] = 1;
+         }
+         return obs::write_metrics_file(snapshot, path);
+       }},
+      {"write_prometheus_file",
+       [](const std::string& path, int n) {
+         obs::MetricsSnapshot snapshot;
+         for (int i = 0; i < n; ++i) {
+           snapshot.counters[numbered("evals.total.", i)] = 1;
+         }
+         return obs::write_prometheus_file(snapshot, path);
+       }},
+      {"Tracer::write_file",
+       [](const std::string& path, int n) {
+         obs::Tracer tracer;
+         tracer.set_enabled(true);
+         for (int i = 0; i < n; ++i) obs::Span span("round", "test", tracer);
+         return tracer.write_file(path, obs::TraceFormat::kChrome);
+       }},
+  };
+  const std::string dir = ::testing::TempDir();
+  for (const auto& [name, write] : writers) {
+    const std::string path = dir + "robotune_durable_" + name;
+    ASSERT_TRUE(write(path, 1)) << name;
+    const std::string old_bytes = slurp(path);
+    ASSERT_FALSE(old_bytes.empty()) << name;
+    bool ok = true;
+    {
+      const FileSizeLimit limit(64);
+      ok = write(path, 40);
+    }
+    EXPECT_FALSE(ok) << name;
+    EXPECT_EQ(slurp(path), old_bytes) << name;
+    EXPECT_FALSE(std::ifstream(path + ".tmp").good()) << name;
+    std::remove(path.c_str());
+    std::remove((path + ".tmp").c_str());
+  }
 }
 
 }  // namespace

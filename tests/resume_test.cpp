@@ -162,7 +162,10 @@ TEST(SessionCheckpointTest, MalformedInputThrows) {
   // Well-framed records whose payloads the record parser rejects.
   for (const char* payload :
        {"bogus 1 2", "eval 0 not-a-status 1.0 1.0 0 0 1 1 0.5",
-        "eval 0 ok 1.0 1.0 0 0 1 3 0.5"}) {  // promises 3 dims, gives 1
+        "eval 0 ok 1.0 1.0 0 0 1 3 0.5",  // promises 3 dims, gives 1
+        // Counts no payload could hold: malformed, never an allocation.
+        "eval 1 ok 1 1 0 0 1 18446744073709551615 0.5",
+        "selected 4000000000 1", "memo 1.0 100000000000 0.5"}) {
     std::stringstream stream;
     stream << "robotune-session v3\n" << frame_message(payload);
     EXPECT_THROW(load_session(stream, s), InvalidArgument) << payload;
