@@ -10,6 +10,7 @@
 #include <cstring>
 #include <memory>
 
+#include "common/numbers.h"
 #include "core/robotune.h"
 #include "sparksim/objective.h"
 #include "tuners/bestconfig.h"
@@ -28,13 +29,22 @@ sparksim::WorkloadKind parse_workload(const char* name) {
   std::exit(1);
 }
 
+int parse_arg(const char* text, const char* name) {
+  int value = 0;
+  if (!parse_int(text, value)) {
+    std::fprintf(stderr, "bad value '%s' for %s\n", text, name);
+    std::exit(2);
+  }
+  return value;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto kind =
       argc > 1 ? parse_workload(argv[1]) : sparksim::WorkloadKind::kPageRank;
-  const int dataset = argc > 2 ? std::atoi(argv[2]) : 1;
-  const int budget = argc > 3 ? std::atoi(argv[3]) : 100;
+  const int dataset = argc > 2 ? parse_arg(argv[2], "dataset") : 1;
+  const int budget = argc > 3 ? parse_arg(argv[3], "budget") : 100;
 
   std::printf("comparing tuners on %s-D%d (budget %d evaluations each)\n\n",
               sparksim::short_name(kind).c_str(), dataset, budget);

@@ -30,6 +30,7 @@
 
 #include "common/chaos.h"
 #include "common/error.h"
+#include "common/numbers.h"
 #include "core/persistence.h"
 #include "core/session.h"
 #include "obs/metrics.h"
@@ -225,6 +226,16 @@ void usage(const char* argv0) {
       argv0);
 }
 
+/// A numeric flag value must be the whole number: `--seed abc` or
+/// `--budget 12x` is a usage error naming the flag, never a silent 0 or 12.
+template <typename T>
+bool number_flag(const std::string& flag, const char* value, T& out) {
+  if (value == nullptr) return false;
+  if (parse_number(value, out)) return true;
+  std::fprintf(stderr, "bad value '%s' for %s\n", value, flag.c_str());
+  return false;
+}
+
 bool parse(int argc, char** argv, CliOptions& options) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -236,21 +247,15 @@ bool parse(int argc, char** argv, CliOptions& options) {
       if (!v) return false;
       options.workload = v;
     } else if (arg == "--dataset") {
-      const char* v = next();
-      if (!v) return false;
-      options.dataset = std::atoi(v);
+      if (!number_flag(arg, next(), options.dataset)) return false;
     } else if (arg == "--tuner") {
       const char* v = next();
       if (!v) return false;
       options.tuner = v;
     } else if (arg == "--budget") {
-      const char* v = next();
-      if (!v) return false;
-      options.budget = std::atoi(v);
+      if (!number_flag(arg, next(), options.budget)) return false;
     } else if (arg == "--seed") {
-      const char* v = next();
-      if (!v) return false;
-      options.seed = static_cast<std::uint64_t>(std::atoll(v));
+      if (!number_flag(arg, next(), options.seed)) return false;
       options.seed_set = true;
     } else if (arg == "--state") {
       const char* v = next();
@@ -265,9 +270,7 @@ bool parse(int argc, char** argv, CliOptions& options) {
       if (!v) return false;
       options.fault_profile = v;
     } else if (arg == "--retries") {
-      const char* v = next();
-      if (!v) return false;
-      options.retries = std::atoi(v);
+      if (!number_flag(arg, next(), options.retries)) return false;
     } else if (arg == "--checkpoint") {
       const char* v = next();
       if (!v) return false;
@@ -283,49 +286,37 @@ bool parse(int argc, char** argv, CliOptions& options) {
       if (!v) return false;
       options.chaos_profile = v;
     } else if (arg == "--parallel") {
-      const char* v = next();
-      if (!v) return false;
-      options.parallel = std::atoi(v);
+      if (!number_flag(arg, next(), options.parallel)) return false;
       if (options.parallel < 0) return false;
     } else if (arg == "--batch") {
-      const char* v = next();
-      if (!v) return false;
-      options.batch = std::atoi(v);
+      if (!number_flag(arg, next(), options.batch)) return false;
       if (options.batch < 1) return false;
     } else if (arg == "--racing") {
       const char* v = next();
       if (!v) return false;
       options.racing = v;
     } else if (arg == "--eval-deadline") {
-      const char* v = next();
-      if (!v) return false;
-      options.eval_deadline = std::atof(v);
+      if (!number_flag(arg, next(), options.eval_deadline)) return false;
       if (options.eval_deadline < 0.0) return false;
     } else if (arg == "--preempt-rate") {
-      const char* v = next();
-      if (!v) return false;
-      options.preempt_rate = std::atof(v);
+      if (!number_flag(arg, next(), options.preempt_rate)) return false;
       if (options.preempt_rate < 0.0 || options.preempt_rate > 1.0) {
         return false;
       }
     } else if (arg == "--init") {
-      const char* v = next();
-      if (!v) return false;
-      options.init = std::atoi(v);
+      if (!number_flag(arg, next(), options.init)) return false;
       if (options.init < 0) return false;
     } else if (arg == "--selection-samples") {
-      const char* v = next();
-      if (!v) return false;
-      options.selection_samples = std::atoi(v);
+      if (!number_flag(arg, next(), options.selection_samples)) {
+        return false;
+      }
       if (options.selection_samples < 0) return false;
     } else if (arg == "--surrogate") {
       const char* v = next();
       if (!v) return false;
       options.surrogate = v;
     } else if (arg == "--rff-features") {
-      const char* v = next();
-      if (!v) return false;
-      options.rff_features = std::atoi(v);
+      if (!number_flag(arg, next(), options.rff_features)) return false;
       if (options.rff_features < 0) return false;
     } else if (arg == "--refit-schedule") {
       const char* v = next();
@@ -355,34 +346,22 @@ bool parse(int argc, char** argv, CliOptions& options) {
       if (!v) return false;
       options.remote = v;
     } else if (arg == "--session") {
-      const char* v = next();
-      if (!v) return false;
-      options.session_id = static_cast<std::uint64_t>(std::atoll(v));
+      if (!number_flag(arg, next(), options.session_id)) return false;
     } else if (arg == "--mode") {
       const char* v = next();
       if (!v) return false;
       options.mode = v;
     } else if (arg == "--from") {
-      const char* v = next();
-      if (!v) return false;
-      options.from = static_cast<std::uint64_t>(std::atoll(v));
+      if (!number_flag(arg, next(), options.from)) return false;
     } else if (arg == "--limit") {
-      const char* v = next();
-      if (!v) return false;
-      options.limit = static_cast<std::uint64_t>(std::atoll(v));
+      if (!number_flag(arg, next(), options.limit)) return false;
     } else if (arg == "--eval") {
-      const char* v = next();
-      if (!v) return false;
-      options.eval_index = static_cast<std::uint64_t>(std::atoll(v));
+      if (!number_flag(arg, next(), options.eval_index)) return false;
       options.tell_set = true;
     } else if (arg == "--value") {
-      const char* v = next();
-      if (!v) return false;
-      options.tell_value = std::atof(v);
+      if (!number_flag(arg, next(), options.tell_value)) return false;
     } else if (arg == "--cost") {
-      const char* v = next();
-      if (!v) return false;
-      options.tell_cost = std::atof(v);
+      if (!number_flag(arg, next(), options.tell_cost)) return false;
     } else if (arg == "--status") {
       const char* v = next();
       if (!v) return false;
@@ -726,10 +705,17 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", why.c_str());
     return 2;
   }
-  if (!options.state_path.empty() &&
-      session->load_state(options.state_path) && !options.quiet) {
-    std::printf("loaded memoized state from %s\n",
-                options.state_path.c_str());
+  if (!options.state_path.empty()) {
+    try {
+      if (session->load_state(options.state_path) && !options.quiet) {
+        std::printf("loaded memoized state from %s\n",
+                    options.state_path.c_str());
+      }
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "cannot load state from %s: %s\n",
+                   options.state_path.c_str(), e.what());
+      return 2;
+    }
   }
 
   // Resume probe: report what the journal holds before replaying it (the

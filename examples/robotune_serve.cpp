@@ -27,6 +27,7 @@
 #include <system_error>
 #include <vector>
 
+#include "common/numbers.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/prometheus.h"
@@ -45,6 +46,16 @@ volatile std::sig_atomic_t g_signal = 0;
 extern "C" void handle_stop_signal(int sig) {
   g_signal = sig;
   g_stop.store(true, std::memory_order_relaxed);
+}
+
+/// A numeric flag value must be the whole number: `--max-live 2x` is a
+/// usage error naming the flag, never a silent 2.
+template <typename T>
+bool number_flag(const std::string& flag, const char* value, T& out) {
+  if (value == nullptr) return false;
+  if (parse_number(value, out)) return true;
+  std::fprintf(stderr, "bad value '%s' for %s\n", value, flag.c_str());
+  return false;
 }
 
 void usage(const char* argv0) {
@@ -132,39 +143,38 @@ int main(int argc, char** argv) {
       if (!v) return usage(argv[0]), 2;
       socket_path = v;
     } else if (arg == "--max-live") {
-      const char* v = next();
-      if (!v || std::atoi(v) < 1) return usage(argv[0]), 2;
-      options.max_live = static_cast<std::size_t>(std::atoi(v));
+      int n = 0;
+      if (!number_flag(arg, next(), n) || n < 1) return usage(argv[0]), 2;
+      options.max_live = static_cast<std::size_t>(n);
     } else if (arg == "--queue") {
-      const char* v = next();
-      if (!v || std::atoi(v) < 0) return usage(argv[0]), 2;
-      options.max_pending = static_cast<std::size_t>(std::atoi(v));
+      int n = 0;
+      if (!number_flag(arg, next(), n) || n < 0) return usage(argv[0]), 2;
+      options.max_pending = static_cast<std::size_t>(n);
     } else if (arg == "--slots") {
-      const char* v = next();
-      if (!v || std::atoi(v) < 0) return usage(argv[0]), 2;
-      options.slots = static_cast<std::size_t>(std::atoi(v));
+      int n = 0;
+      if (!number_flag(arg, next(), n) || n < 0) return usage(argv[0]), 2;
+      options.slots = static_cast<std::size_t>(n);
     } else if (arg == "--seed") {
-      const char* v = next();
-      if (!v) return usage(argv[0]), 2;
-      options.seed = static_cast<std::uint64_t>(std::atoll(v));
+      if (!number_flag(arg, next(), options.seed)) return usage(argv[0]), 2;
     } else if (arg == "--lease-timeout") {
-      const char* v = next();
-      if (!v || std::atoll(v) < 1) return usage(argv[0]), 2;
-      options.lease_timeout_ticks = static_cast<std::uint64_t>(std::atoll(v));
+      if (!number_flag(arg, next(), options.lease_timeout_ticks) ||
+          options.lease_timeout_ticks < 1) {
+        return usage(argv[0]), 2;
+      }
     } else if (arg == "--terminal-ttl") {
-      const char* v = next();
-      if (!v || std::atoll(v) < 0) return usage(argv[0]), 2;
-      options.terminal_ttl_ticks = static_cast<std::uint64_t>(std::atoll(v));
+      if (!number_flag(arg, next(), options.terminal_ttl_ticks)) {
+        return usage(argv[0]), 2;
+      }
     } else if (arg == "--idle-timeout") {
-      const char* v = next();
-      if (!v || std::atoi(v) < 1) return usage(argv[0]), 2;
-      idle_timeout_s = std::atoi(v);
+      if (!number_flag(arg, next(), idle_timeout_s) || idle_timeout_s < 1) {
+        return usage(argv[0]), 2;
+      }
     } else if (arg == "--fsync") {
       options.sync = core::SyncPolicy::kFsync;
     } else if (arg == "--pool-threads") {
-      const char* v = next();
-      if (!v || std::atoi(v) < 0) return usage(argv[0]), 2;
-      pool_threads = std::atol(v);
+      int n = 0;
+      if (!number_flag(arg, next(), n) || n < 0) return usage(argv[0]), 2;
+      pool_threads = n;
     } else if (arg == "--events-file") {
       const char* v = next();
       if (!v) return usage(argv[0]), 2;
@@ -172,9 +182,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-events") {
       no_events = true;
     } else if (arg == "--events-max-bytes") {
-      const char* v = next();
-      if (!v || std::atoll(v) < 1) return usage(argv[0]), 2;
-      options.events_max_bytes = static_cast<std::size_t>(std::atoll(v));
+      std::uint64_t n = 0;
+      if (!number_flag(arg, next(), n) || n < 1) return usage(argv[0]), 2;
+      options.events_max_bytes = static_cast<std::size_t>(n);
     } else if (arg == "--metrics-file") {
       const char* v = next();
       if (!v) return usage(argv[0]), 2;
