@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 
 #include "common/statistics.h"
 #include "obs/metrics.h"
@@ -32,6 +33,12 @@ void RandomForest::fit(const Dataset& data) {
   std::vector<Rng> tree_rngs;
   tree_rngs.reserve(t);
   for (std::size_t i = 0; i < t; ++i) tree_rngs.push_back(master.split());
+  // Best splits scan presorted rows: rank every feature once for the
+  // forest; the trees only read it.
+  std::optional<FeatureRanks> ranks;
+  if (options_.tree.split_mode == SplitMode::kBestSplit) {
+    ranks.emplace(*training_data_);
+  }
 
   auto train_one = [&](std::size_t ti) {
     Rng& rng = tree_rngs[ti];
@@ -48,7 +55,7 @@ void RandomForest::fit(const Dataset& data) {
       std::iota(rows.begin(), rows.end(), std::size_t{0});
       std::fill(in_bag_[ti].begin(), in_bag_[ti].end(), 1);
     }
-    trees_[ti].fit(*training_data_, rows, rng);
+    trees_[ti].fit(*training_data_, ranks ? &*ranks : nullptr, rows, rng);
   };
 
   if (options_.parallel && ThreadPool::global().size() > 1) {
