@@ -663,6 +663,8 @@ int main(int argc, char** argv) {
     dangling = "--resume needs --checkpoint PATH";
   } else if (options.recover && !options.resume) {
     dangling = "--recover needs --resume";
+  } else if (!options.state_path.empty() && options.tuner != "robotune") {
+    dangling = "--state needs --tuner robotune";
   }
   if (dangling != nullptr) {
     std::fprintf(stderr, "%s\n", dangling);
@@ -763,7 +765,11 @@ int main(int argc, char** argv) {
     std::printf("memoized configs used: %s\n",
                 outcome.report->used_memoized_configs ? "yes" : "no");
   }
-  if (!options.state_path.empty()) session->save_state(options.state_path);
+  if (!options.state_path.empty() && !session->save_state(options.state_path)) {
+    std::fprintf(stderr, "cannot write state to %s\n",
+                 options.state_path.c_str());
+    return 2;
+  }
 
   // Observability exports: by the time the tuner returned, every worker
   // batch has been joined (wait_all), so snapshot/records are quiescent.
