@@ -281,6 +281,21 @@ std::size_t save_state(const ParameterSelectionCache& selection,
   return records;
 }
 
+namespace {
+
+// Up to `count` values from `row`.  The vector grows with the values
+// actually present, so a count the row does not hold fails the stream at
+// the first missing value instead of sizing an allocation from the file.
+template <typename T>
+std::vector<T> read_values(std::istream& row, std::size_t count) {
+  std::vector<T> values;
+  T value{};
+  while (values.size() < count && row >> value) values.push_back(value);
+  return values;
+}
+
+}  // namespace
+
 std::size_t load_state(std::istream& in, ParameterSelectionCache& selection,
                        ConfigMemoizationBuffer& memo) {
   std::string line;
@@ -296,8 +311,7 @@ std::size_t load_state(std::istream& in, ParameterSelectionCache& selection,
     if (kind == "selection") {
       std::size_t count = 0;
       row >> count;
-      std::vector<std::size_t> indices(count);
-      for (auto& idx : indices) row >> idx;
+      auto indices = read_values<std::size_t>(row, count);
       require(!row.fail(), "load_state: malformed selection row");
       selection.store(workload, std::move(indices));
       ++records;
@@ -305,8 +319,7 @@ std::size_t load_state(std::istream& in, ParameterSelectionCache& selection,
       MemoizedConfig config;
       std::size_t dims = 0;
       row >> config.value_s >> dims;
-      config.unit.resize(dims);
-      for (auto& u : config.unit) row >> u;
+      config.unit = read_values<double>(row, dims);
       require(!row.fail(), "load_state: malformed memo row");
       memo.store(workload, std::move(config));
       ++records;

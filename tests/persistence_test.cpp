@@ -121,6 +121,26 @@ TEST(PersistenceTest, MalformedRowThrows) {
   EXPECT_THROW(load_state(stream, selection, memo), InvalidArgument);
 }
 
+TEST(PersistenceTest, OversizedCountsThrowWithoutAllocating) {
+  // Counts far past the values present: each row must fail at its first
+  // missing value, not size a vector from the count.
+  for (const char* row : {"memo PageRank 1.0 100000000000 0.5",
+                          "selection PageRank 100000000000 3"}) {
+    SCOPED_TRACE(row);
+    std::stringstream stream;
+    stream << "robotune-state v1\n" << row << "\n";
+    ParameterSelectionCache selection;
+    ConfigMemoizationBuffer memo;
+    try {
+      load_state(stream, selection, memo);
+      ADD_FAILURE() << "expected InvalidArgument";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("malformed"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(PersistenceTest, FileHelpersRoundTrip) {
   const std::string path = "/tmp/robotune_persistence_test.state";
   ParameterSelectionCache selection;
