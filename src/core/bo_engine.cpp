@@ -535,9 +535,9 @@ bool BoEngine::fit_exact_ladder(bool hyperfit, std::uint64_t fit_seed,
     note_degrade(iter, "gp_noise_inflate");
   }
   try {
-    fit(std::make_unique<gp::SumKernel>(kernel_state_->clone(),
-                                        std::make_unique<gp::WhiteNoise>(0.1)),
-        dx, dy, false);
+    auto inflated = kernel_state_->clone();
+    inflated->inflate_noise(0.1);
+    fit(std::move(inflated), dx, dy, false);
     return true;
   } catch (const NumericalError&) {
     note_degrade(iter, "gp_skip");

@@ -265,7 +265,7 @@ class BoEngine {
   std::vector<std::vector<double>> xs_;  ///< training points (subspace)
   std::vector<double> ys_;
   /// The learned kernel, kept apart from the model's: the noise-inflation
-  /// rung fits Sum(kernel, WhiteNoise), which must not carry forward.
+  /// rung fits a copy with σ² + 0.1, which must not carry forward.
   std::unique_ptr<gp::Kernel> kernel_state_;
   std::unique_ptr<gp::Surrogate> model_;
   std::optional<gp::GpHedge> hedge_;

@@ -131,7 +131,7 @@ void GaussianProcess::add_point(const std::vector<double>& x, double y) {
   std::vector<double> k_star(n, 0.0);
   kernel_->accumulate_covariance_row(train_x_, x, k_star);
   const double k_self =
-      (*kernel_)(x, x) + kernel_->diagonal_noise() + 1e-10;
+      (*kernel_)(x, x) + kernel_->noise_variance() + 1e-10;
 
   // Extend L: new row l = L^{-1} k*, new diagonal sqrt(k** - l.l).
   const std::vector<double> l = linalg::solve_lower(chol_, k_star);
@@ -262,7 +262,7 @@ void GaussianProcess::factorize() {
   obs::count("gp.factorizations");
   const std::size_t n = train_x_.size();
   linalg::Matrix k(n, n);
-  const double noise = kernel_->diagonal_noise();
+  const double noise = kernel_->noise_variance();
   const std::span<const std::vector<double>> points(train_x_);
   for (std::size_t i = 0; i < n; ++i) {
     // Row i's lower triangle in one SIMD-blocked covariance sweep; the

@@ -38,7 +38,7 @@ struct GpOptions {
 
 class GaussianProcess : public Surrogate {
  public:
-  explicit GaussianProcess(std::unique_ptr<Kernel> kernel = default_kernel(),
+  explicit GaussianProcess(std::unique_ptr<Kernel> kernel,
                            GpOptions options = {}, std::uint64_t seed = 11);
 
   GaussianProcess(const GaussianProcess& other);

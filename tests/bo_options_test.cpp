@@ -136,7 +136,7 @@ TEST(BoOptionsTest, SeedsReproduceSessions) {
 TEST(GpEdgeTest, DuplicateTrainingPointsSurviveViaJitter) {
   std::vector<std::vector<double>> x = {{0.5}, {0.5}, {0.5}, {0.2}};
   std::vector<double> y = {1.0, 1.1, 0.9, 2.0};
-  gp::GaussianProcess model(gp::default_kernel(0.3, 1.0, 1e-4),
+  gp::GaussianProcess model(gp::ard_kernel(1, 0.3, 1.0, 1e-4),
                             gp::GpOptions{false});
   EXPECT_NO_THROW(model.fit(x, y));
   const auto p = model.predict(std::vector<double>{0.5});
@@ -146,7 +146,7 @@ TEST(GpEdgeTest, DuplicateTrainingPointsSurviveViaJitter) {
 TEST(GpEdgeTest, ConstantTargetsProduceFlatPosterior) {
   std::vector<std::vector<double>> x = {{0.1}, {0.5}, {0.9}};
   std::vector<double> y = {5.0, 5.0, 5.0};
-  gp::GaussianProcess model(gp::default_kernel(), gp::GpOptions{false});
+  gp::GaussianProcess model(gp::ard_kernel(1, 0.3), gp::GpOptions{false});
   model.fit(x, y);
   EXPECT_NEAR(model.predict(std::vector<double>{0.3}).mean, 5.0, 1e-6);
 }
@@ -208,7 +208,7 @@ TEST(GpEdgeTest, IncrementalAddPointMatchesBatchFit) {
 TEST(GpEdgeTest, AddPointHandlesDuplicateViaFallback) {
   std::vector<std::vector<double>> x = {{0.2}, {0.8}};
   std::vector<double> y = {1.0, 2.0};
-  gp::GaussianProcess model(gp::default_kernel(0.3, 1.0, 1e-8),
+  gp::GaussianProcess model(gp::ard_kernel(1, 0.3, 1.0, 1e-8),
                             gp::GpOptions{false});
   model.fit(x, y);
   EXPECT_NO_THROW(model.add_point({0.2}, 1.05));  // near-duplicate
@@ -217,14 +217,14 @@ TEST(GpEdgeTest, AddPointHandlesDuplicateViaFallback) {
 }
 
 TEST(GpEdgeTest, AddPointBeforeFitThrows) {
-  gp::GaussianProcess model;
+  gp::GaussianProcess model(gp::ard_kernel(1));
   EXPECT_THROW(model.add_point({0.5}, 1.0), InvalidArgument);
 }
 
 TEST(GpEdgeTest, SinglePointFitPredicts) {
   std::vector<std::vector<double>> x = {{0.5, 0.5}};
   std::vector<double> y = {3.0};
-  gp::GaussianProcess model(gp::default_kernel(), gp::GpOptions{false});
+  gp::GaussianProcess model(gp::ard_kernel(2, 0.3), gp::GpOptions{false});
   model.fit(x, y);
   EXPECT_NEAR(model.predict(std::vector<double>{0.5, 0.5}).mean, 3.0, 1e-3);
 }

@@ -205,13 +205,13 @@ TEST_F(DegradeTest, DegradedSessionResumesIdentically) {
 TEST_F(DegradeTest, AddPointRollsBackWhenRefactorizationFails) {
   gp::GpOptions options;
   options.optimize_hyperparameters = false;
-  // A signal variance of 1e8 swamps both the 1e-10 jitter floor and the
-  // degenerate-path threshold (1e8 + 1e-10 == 1e8 in double), so a
-  // duplicate training point collapses the rank-one update's Schur
-  // complement to zero and add_point must fall back to the full
-  // refactorization — exactly where the forced Cholesky failure lands.
-  gp::GaussianProcess model(
-      std::make_unique<gp::Matern52Ard>(2, 0.5, 1e8), options, 7);
+  // A signal variance of 1e8 with no white noise swamps both the 1e-10
+  // jitter floor and the degenerate-path threshold (1e8 + 1e-10 == 1e8 in
+  // double), so a duplicate training point collapses the rank-one
+  // update's Schur complement to zero and add_point must fall back to the
+  // full refactorization — exactly where the forced Cholesky failure
+  // lands.
+  gp::GaussianProcess model(gp::ard_kernel(2, 0.5, 1e8, 0.0), options, 7);
   const std::vector<std::vector<double>> xs = {
       {0.1, 0.2}, {0.6, 0.7}, {0.9, 0.3}};
   const std::vector<double> ys = {1.0, 2.0, 3.0};
