@@ -277,13 +277,31 @@ bool load_spec_file(const std::string& path, SessionSpec& spec,
   return decode_spec_body(body, spec, error);
 }
 
+sparksim::SparkObjective make_session_objective(const SessionSpec& spec) {
+  sparksim::WorkloadKind kind;
+  sparksim::FaultProfile faults;
+  require(workload_from_short_name(spec.workload, kind) &&
+              parse_fault_profile(spec.fault_profile, faults),
+          "make_session_objective: invalid spec");
+  faults.preemption_per_stage = spec.preempt_rate;
+  sparksim::SparkObjective objective(
+      sparksim::ClusterSpec::paper_testbed(),
+      sparksim::make_workload(kind, spec.dataset),
+      sparksim::spark24_config_space(), spec.seed * 7919, 480.0, 0.04,
+      spec.metric == "coreseconds"
+          ? sparksim::ObjectiveMetric::kCoreSeconds
+          : sparksim::ObjectiveMetric::kExecutionTime);
+  objective.set_fault_profile(faults);
+  if (faults.active()) {
+    sparksim::RetryPolicy retry;
+    retry.max_retries = std::max(0, spec.retries);
+    objective.set_retry_policy(retry);
+  }
+  return objective;
+}
+
 Session::Session(SessionSpec spec) : spec_(std::move(spec)) {
   workload_from_short_name(spec_.workload, kind_);
-  metric_ = spec_.metric == "coreseconds"
-                ? sparksim::ObjectiveMetric::kCoreSeconds
-                : sparksim::ObjectiveMetric::kExecutionTime;
-  parse_fault_profile(spec_.fault_profile, faults_);
-  faults_.preemption_per_stage = spec_.preempt_rate;
   exec::racing_mode_from_string(spec_.racing, racing_mode_);
 
   if (spec_.tuner == "robotune") {
@@ -355,16 +373,7 @@ bool Session::begin(Hooks hooks) {
   }
   run_ = std::make_unique<Run>();
   run_->hooks = std::move(hooks);
-  run_->objective.emplace(sparksim::ClusterSpec::paper_testbed(),
-                     sparksim::make_workload(kind_, spec_.dataset),
-                     sparksim::spark24_config_space(), spec_.seed * 7919,
-                     480.0, 0.04, metric_);
-  run_->objective->set_fault_profile(faults_);
-  if (faults_.active()) {
-    sparksim::RetryPolicy retry;
-    retry.max_retries = std::max(0, spec_.retries);
-    run_->objective->set_retry_policy(retry);
-  }
+  run_->objective.emplace(make_session_objective(spec_));
   if (spec_.parallel >= 1) {
     exec::SchedulerOptions sched;
     sched.parallelism = spec_.parallel;

@@ -195,8 +195,6 @@ class Session {
 
   SessionSpec spec_;
   sparksim::WorkloadKind kind_;
-  sparksim::ObjectiveMetric metric_;
-  sparksim::FaultProfile faults_;
   exec::RacingMode racing_mode_ = exec::RacingMode::kOff;
   std::unique_ptr<tuners::Tuner> tuner_;
   RoboTune* robotune_ = nullptr;  ///< non-null when tuner is robotune
@@ -219,6 +217,14 @@ class Session {
 /// list); shared by the CLI and the spec decoder.  The rates loss, fetch
 /// and straggler must be in [0, 1] and slowdown finite.
 bool parse_fault_profile(const std::string& text, sparksim::FaultProfile& out);
+
+/// The objective a session of `spec` evaluates: the simulated cluster and
+/// workload, the fault profile with `preempt_rate`, and the retry policy.
+/// Session::begin and robotune_cli's `--remote drive` loop both build it
+/// here, so an external executor that evaluates grant i on
+/// fork_for_eval(i) observes what an internal session of the same spec
+/// journals.  Throws InvalidArgument on a spec that does not validate.
+sparksim::SparkObjective make_session_objective(const SessionSpec& spec);
 
 class SessionFactory {
  public:

@@ -8,6 +8,7 @@
 #include "core/memoization.h"
 #include "core/parameter_selection.h"
 #include "core/robotune.h"
+#include "core/session.h"
 #include "exec/eval_scheduler.h"
 #include "sparksim/objective.h"
 
@@ -506,6 +507,60 @@ TEST(RoboTuneTest, SelectedSetAlwaysContainsExecutorSize) {
             report.selected.end());
   EXPECT_NE(std::find(report.selected.begin(), report.selected.end(), memory),
             report.selected.end());
+}
+
+// ------------------------------------------------- session objective ----
+
+// An external executor (robotune_cli --remote drive) evaluates grant i
+// on make_session_objective(spec).fork_for_eval(i).  Every measured
+// evaluation of an internal session of the same spec is exactly that —
+// with a per-site fault list, retries and preemption all in play.
+TEST(SessionObjectiveTest, InternalEvaluationsAreForksOfTheSessionObjective) {
+  SessionSpec spec;
+  spec.workload = "TS";
+  spec.budget = 30;
+  spec.seed = 11;
+  spec.fault_profile = "loss=0.1,fetch=0.1,straggler=0.2,slowdown=3";
+  spec.retries = 1;
+  spec.preempt_rate = 0.05;
+  spec.parallel = 1;
+  spec.init = 10;
+  spec.selection_samples = 40;
+  std::string error;
+  const auto session = SessionFactory::create(spec, &error);
+  ASSERT_NE(session, nullptr) << error;
+  const SessionOutcome outcome = session->run();
+  ASSERT_TRUE(outcome.ok()) << outcome.error;
+  const auto& history = outcome.result.history;
+  ASSERT_EQ(history.size(), 30u);
+
+  const sparksim::SparkObjective objective = make_session_objective(spec);
+  EXPECT_EQ(objective.fault_profile().preemption_per_stage, 0.05);
+  EXPECT_EQ(objective.fault_profile().executor_loss_per_stage, 0.1);
+  std::size_t checked = 0;
+  bool retried = false;
+  for (std::size_t i = 0; i < history.size(); ++i) {
+    const auto& e = history[i];
+    if (!e.ok() || e.stopped_early) continue;
+    const auto direct = objective.fork_for_eval(i).evaluate(e.unit);
+    EXPECT_EQ(direct.status, e.status) << "eval " << i;
+    EXPECT_EQ(direct.value_s, e.value_s) << "eval " << i;
+    EXPECT_EQ(direct.cost_s, e.cost_s) << "eval " << i;
+    EXPECT_EQ(direct.attempts, e.attempts) << "eval " << i;
+    retried = retried || e.attempts > 1;
+    ++checked;
+  }
+  EXPECT_GE(checked, 15u);
+  EXPECT_TRUE(retried) << "the fault profile never fired";
+}
+
+TEST(SessionObjectiveTest, InvalidSpecThrows) {
+  SessionSpec spec;
+  spec.fault_profile = "loss=2";
+  EXPECT_THROW(make_session_objective(spec), InvalidArgument);
+  spec.fault_profile = "none";
+  spec.workload = "XX";
+  EXPECT_THROW(make_session_objective(spec), InvalidArgument);
 }
 
 }  // namespace
