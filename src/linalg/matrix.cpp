@@ -274,31 +274,6 @@ void solve_lower_panel4(const Matrix& l,
   }
 }
 
-// Backward-substitution twin of solve_lower_panel4 (lane r runs
-// solve_lower_transposed's recurrence: descending ii, ascending k).
-void solve_lower_transposed_panel4(
-    const Matrix& l, std::span<const double> b0, std::span<const double> b1,
-    std::span<const double> b2, std::span<const double> b3,
-    std::span<double> y0, std::span<double> y1, std::span<double> y2,
-    std::span<double> y3, std::vector<double>& panel) {
-  const std::size_t n = l.rows();
-  panel.resize(n * simd::kLanes);
-  for (std::size_t ii = n; ii-- > 0;) {
-    simd::v4d sum = simd::v4d{b0[ii], b1[ii], b2[ii], b3[ii]};
-    for (std::size_t k = ii + 1; k < n; ++k) {
-      sum -= simd::broadcast(l(k, ii)) * simd::load(&panel[k * simd::kLanes]);
-    }
-    sum /= simd::broadcast(l(ii, ii));
-    simd::store(&panel[ii * simd::kLanes], sum);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    y0[i] = panel[i * simd::kLanes + 0];
-    y1[i] = panel[i * simd::kLanes + 1];
-    y2[i] = panel[i * simd::kLanes + 2];
-    y3[i] = panel[i * simd::kLanes + 3];
-  }
-}
-
 }  // namespace
 
 void solve_lower_rows(const Matrix& l, const Matrix& rhs_rows, Matrix& out) {
@@ -314,24 +289,6 @@ void solve_lower_rows(const Matrix& l, const Matrix& rhs_rows, Matrix& out) {
   for (; j < rhs_rows.rows(); ++j) {
     solve_lower(l, rhs_rows.row(j), out.row(j));
   }
-}
-
-Matrix solve_lower_transposed_rows(const Matrix& l, const Matrix& rhs_rows) {
-  require(rhs_rows.cols() == l.rows(),
-          "solve_lower_transposed_rows: dimension mismatch");
-  Matrix out(rhs_rows.rows(), rhs_rows.cols());
-  std::size_t j = 0;
-  std::vector<double> panel;
-  for (; j + simd::kLanes <= rhs_rows.rows(); j += simd::kLanes) {
-    solve_lower_transposed_panel4(
-        l, rhs_rows.row(j), rhs_rows.row(j + 1), rhs_rows.row(j + 2),
-        rhs_rows.row(j + 3), out.row(j), out.row(j + 1), out.row(j + 2),
-        out.row(j + 3), panel);
-  }
-  for (; j < rhs_rows.rows(); ++j) {
-    solve_lower_transposed(l, rhs_rows.row(j), out.row(j));
-  }
-  return out;
 }
 
 void cholesky_update_rank1(Matrix& l, std::size_t begin, std::span<double> v) {

@@ -162,9 +162,6 @@ Matrix solve_lower_rows(const Matrix& l, const Matrix& rhs_rows);
 /// element overwritten.  Identical arithmetic to the returning overload.
 void solve_lower_rows(const Matrix& l, const Matrix& rhs_rows, Matrix& out);
 
-/// Multi-RHS backward solve: row j solves L^T x = rhs_rows.row(j).
-Matrix solve_lower_transposed_rows(const Matrix& l, const Matrix& rhs_rows);
-
 /// In-place rank-1 *update* of a lower Cholesky factor: the trailing
 /// block of `l` starting at row/column `begin` is replaced by the factor
 /// of L33·L33ᵀ + v·vᵀ (the classic c/s-rotation sweep).  `v` has

@@ -282,20 +282,6 @@ TEST(SolveTest, MultiRhsForwardSolveBitIdenticalToPerRhs) {
   }
 }
 
-TEST(SolveTest, MultiRhsBackwardSolveBitIdenticalToPerRhs) {
-  Rng rng(37);
-  const Matrix l = cholesky(random_spd(9, rng));
-  Matrix rhs(4, 9);
-  for (double& v : rhs.data()) v = rng.uniform(-3, 3);
-  const Matrix batched = solve_lower_transposed_rows(l, rhs);
-  for (std::size_t j = 0; j < 4; ++j) {
-    const auto single = solve_lower_transposed(l, rhs.row(j));
-    for (std::size_t i = 0; i < 9; ++i) {
-      EXPECT_EQ(batched(j, i), single[i]);
-    }
-  }
-}
-
 TEST(SolveTest, SpanSolvesBitIdenticalToAllocatingOverloads) {
   Rng rng(41);
   const Matrix l = cholesky(random_spd(8, rng));
